@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/async"
 	"repro/internal/batch"
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -363,12 +364,42 @@ type odeEndCapture struct {
 
 func (c *odeEndCapture) OnSimEnd(e obs.SimEnd) { c.end = e }
 
-// benchODERing measures the deterministic simulation of the 458-reaction
-// clocked ring under one solver at the default tolerances — the comparison
+// benchODE runs one deterministic simulation per iteration under one solver
+// at the default tolerances, and reports the integrator's effort per run:
+// accepted steps, rejections, derivative evaluations, Jacobian refills, LU
+// factorizations, the stiff integrator's accepted steps and, for an auto
+// run that handed off, the switch time. The counts repeat exactly from run
+// to run.
+func benchODE(b *testing.B, n *crn.Network, fast, tEnd float64, solver sim.Solver) {
+	capt := &odeEndCapture{}
+	cfg := sim.Config{
+		Method: sim.ODE, Solver: solver,
+		Rates: sim.Rates{Fast: fast, Slow: 1}, TEnd: tEnd,
+		Obs: capt,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(context.Background(), n, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	od := capt.end.ODE
+	b.ReportMetric(float64(capt.end.Steps), "steps/op")
+	b.ReportMetric(float64(od.Rejected), "rej/op")
+	b.ReportMetric(float64(od.Evals), "evals/op")
+	b.ReportMetric(float64(od.JacEvals), "jac/op")
+	b.ReportMetric(float64(od.Factorizations), "fact/op")
+	b.ReportMetric(float64(od.StiffSteps), "stiffsteps/op")
+	if od.Switched {
+		b.ReportMetric(od.SwitchT, "switch_t")
+	}
+}
+
+// The 458-reaction clocked ring under each solver is the comparison
 // BENCH_PR10.json gates on: the stiff leg must beat the explicit leg by
-// >= 3x wall clock with >= 5x fewer derivative evaluations. Custom metrics
-// report the per-run derivative evaluations (evals/op) and, where the stiff
-// integrator ran, its accepted steps (stiffsteps/op).
+// >= 3x wall clock with >= 5x fewer derivative evaluations.
 //
 // Fast/slow is 30000/1 — the stability-limited regime of the paper's rate
 // dichotomy, where the explicit method's step is pinned at ~3/Fast while the
@@ -377,33 +408,40 @@ func (c *odeEndCapture) OnSimEnd(e obs.SimEnd) { c.end = e }
 // the right tool; the solver comparison is only meaningful where stiffness,
 // not accuracy, sets the step.
 func benchODERing(b *testing.B, solver sim.Solver) {
-	n := buildRingNet(b, 8)
-	capt := &odeEndCapture{}
-	cfg := sim.Config{
-		Method: sim.ODE, Solver: solver,
-		Rates: sim.Rates{Fast: 30000, Slow: 1}, TEnd: 10,
-		Obs: capt,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var evals, stiffSteps float64
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(context.Background(), n, cfg); err != nil {
-			b.Fatal(err)
-		}
-		evals += float64(capt.end.ODE.Evals)
-		stiffSteps += float64(capt.end.ODE.StiffSteps)
-	}
-	b.StopTimer()
-	b.ReportMetric(evals/float64(b.N), "evals/op")
-	if stiffSteps > 0 {
-		b.ReportMetric(stiffSteps/float64(b.N), "stiffsteps/op")
-	}
+	benchODE(b, buildRingNet(b, 8), 30000, 10, solver)
 }
 
 func BenchmarkODERingExplicit(b *testing.B) { benchODERing(b, sim.SolverExplicit) }
 func BenchmarkODERingStiff(b *testing.B)    { benchODERing(b, sim.SolverStiff) }
 func BenchmarkODERingAuto(b *testing.B)     { benchODERing(b, sim.SolverAuto) }
+
+// BenchmarkSolverEffort runs E1's clock and E8's delay chain under each
+// solver at the experiments' own rates and horizons, and the ring at the
+// accuracy-limited fast/slow = 300. With the ring legs above it regenerates
+// EXPERIMENTS.md's solver-effort table.
+func BenchmarkSolverEffort(b *testing.B) {
+	chain := crn.NewNetwork()
+	ch, err := async.NewChain(chain, "d", 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := chain.SetInit(ch.Input, 1); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		net        *crn.Network
+		fast, tEnd float64
+	}{
+		{"E1clock", buildClockNet(b), 1000, 300},
+		{"E8chain", chain, 500, 150},
+		{"ring300", buildRingNet(b, 8), 300, 10},
+	} {
+		for _, s := range []sim.Solver{sim.SolverExplicit, sim.SolverStiff, sim.SolverAuto} {
+			b.Run(c.name+"/"+s.String(), func(b *testing.B) { benchODE(b, c.net, c.fast, c.tEnd, s) })
+		}
+	}
+}
 
 // BenchmarkParse measures the .crn text format round trip on the clock
 // network.

@@ -16,6 +16,7 @@ package crn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -176,9 +177,18 @@ func (n *Network) InitOf(name string) float64 {
 }
 
 // termList converts a name->coeff map into a normalized, sorted Term list.
+// New species are numbered in name order, not map order, so one build or
+// one parse always yields one network.
 func (n *Network) termList(m map[string]int) ([]Term, error) {
+	var buf [4]string // sides rarely name more species: no allocation
+	names := buf[:0]
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
 	terms := make([]Term, 0, len(m))
-	for name, c := range m {
+	for _, name := range names {
+		c := m[name]
 		if c <= 0 {
 			return nil, fmt.Errorf("crn: non-positive coefficient %d for species %q", c, name)
 		}

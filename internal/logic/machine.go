@@ -106,7 +106,11 @@ func CompileOpt(f *FSM, ns string, opts Options) (*Machine, error) {
 		}
 		regs := m.regs[name]
 		var carrier railBit
-		for rail, reg := range map[string]*core.Register{"T": regs.T, "F": regs.F} {
+		for _, rr := range []struct {
+			rail string
+			reg  *core.Register
+		}{{"T", regs.T}, {"F", regs.F}} {
+			rail, reg := rr.rail, rr.reg
 			if k == 0 {
 				continue // Finalize discards the unused rails
 			}

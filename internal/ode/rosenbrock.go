@@ -27,26 +27,14 @@ type Jacobian interface {
 
 // Rosenbrock ode23s coefficients (Shampine & Reichelt, "The MATLAB ODE
 // Suite"): a 2nd-order Rosenbrock-W method with a 3rd-order error estimate.
-// Being a W-method it stays consistent with an out-of-date Jacobian — the
-// price is error-control efficiency, not correctness — which is what makes
-// the Jacobian-reuse policy below safe.
+// The estimate is 3rd order only with the exact Jacobian at the step's
+// start: on the paper's stiff rings a one-step-old J roughly triples it, so
+// every attempt factors with a J evaluated at the current state, as ode23s
+// does.
 var (
 	rosD   = 1 / (2 + math.Sqrt2)
 	rosE32 = 6 + math.Sqrt2
 )
-
-// maxJacAge is the Jacobian-staleness cap: after this many accepted steps on
-// one factorization the integrator refreshes J and refactors even if the
-// step size hasn't moved. Analytic refills are cheap (one sweep of the
-// sparse pattern) — the cap mainly bounds how stale a W-method Jacobian can
-// get before error control starts paying for it in rejections.
-const maxJacAge = 25
-
-// hGrowDeadband is the step-growth deadband: an accepted step only grows h
-// when the controller asks for at least this factor. Growing h forces a
-// refactorization, so tiny oscillating adjustments would turn every step
-// into a factorization; holding h flat keeps the factorization warm.
-const hGrowDeadband = 1.2
 
 // Stiff is a reusable Rosenbrock-W (ode23s) integrator bound to one Jacobian
 // sparsity pattern. The constructor performs every allocation — workspaces,
@@ -65,13 +53,13 @@ type Stiff struct {
 }
 
 // NewStiff builds a stiff integrator for the given Jacobian, running the
-// symbolic factorization of the shifted matrix I − h·d·J once.
+// ordering and symbolic factorization of the shifted matrix I − h·d·J once.
 func NewStiff(jac Jacobian) *Stiff {
 	n := jac.Dim()
 	colPtr, rowIdx := jac.Pattern()
 	return &Stiff{
 		jac:  jac,
-		lu:   newSparseLU(n, colPtr, rowIdx),
+		lu:   newSparseLU(n, colPtr, rowIdx, minDegreeOrder(n, colPtr, rowIdx)),
 		jnz:  make([]float64, len(rowIdx)),
 		f0:   make([]float64, n),
 		f1:   make([]float64, n),
@@ -96,10 +84,10 @@ func IntegrateStiff(ctx context.Context, f Func, jac Jacobian, y0 []float64, t0,
 // accepted step. y0 is modified in place and holds the final state on
 // return; Stats.T reports the time reached on both success and failure.
 //
-// Per attempted step the method costs three derivative evaluations and
-// three triangular solves; a factorization of I − h·d·J is amortized across
-// steps and only recomputed when h changes, the observer modifies the
-// state, or the Jacobian ages past maxJacAge accepted steps.
+// Per attempted step the method costs one factorization of I − h·d·J, three
+// derivative evaluations and three triangular solves. J is refilled whenever
+// the state has moved since the last refill, so a retry after a rejection
+// reuses it: J(t, y) has not changed, only h.
 func (s *Stiff) Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts Options, cb Observer) (Stats, error) {
 	var st Stats
 	st.T = t0
@@ -116,15 +104,14 @@ func (s *Stiff) Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 floa
 		return st, fmt.Errorf("ode: state dimension %d != Jacobian dimension %d", len(y0), n)
 	}
 	o := opts.withDefaults(t1 - t0)
-	n := len(y0)
 
 	t := t0
 	h := math.Min(o.InitStep, o.MaxStep)
 	f(t, y0, s.f0)
 	st.Evals++
 
-	hFact := 0.0 // step size of the current factorization; 0 = none
-	jacAge := 0
+	jacStale := true // J was last filled at another state
+	retry := false   // the last attempt was rejected: do not grow h
 
 	for t < t1 {
 		st.T = t
@@ -143,69 +130,35 @@ func (s *Stiff) Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 floa
 			h = t1 - t
 		}
 
-		// (Re)factor the shifted matrix when the step size moved or the
-		// Jacobian went stale. Every factorization refills J at the current
-		// state — the analytic refill is far cheaper than the factorization
-		// it feeds.
-		if h != hFact || jacAge >= maxJacAge {
+		if jacStale {
 			s.jac.Fill(t, y0, s.jnz)
 			st.JacEvals++
-			s.lu.setShifted(h*rosD, s.jnz)
-			if err := s.lu.factor(); err != nil {
-				// Singular shifted matrix: treat as a rejection and shrink.
-				st.Rejected++
-				hFact = 0
-				h *= 0.5
-				continue
-			}
-			st.Factorizations++
-			hFact = h
-			jacAge = 0
+			jacStale = false
 		}
+		s.lu.setShifted(h*rosD, s.jnz)
+		if err := s.lu.factor(); err != nil {
+			// Singular shifted matrix: treat as a rejection and shrink.
+			st.Rejected++
+			retry = true
+			h *= 0.5
+			continue
+		}
+		st.Factorizations++
 
-		// ode23s stages. k1 = W⁻¹·f0.
-		s.lu.solve(s.f0, s.k1)
-		// f1 = f(t + h/2, y + (h/2)·k1).
-		for i := 0; i < n; i++ {
-			s.ytmp[i] = y0[i] + 0.5*h*s.k1[i]
-		}
-		f(t+0.5*h, s.ytmp, s.f1)
-		// k2 = W⁻¹·(f1 − k1) + k1.
-		for i := 0; i < n; i++ {
-			s.ytmp[i] = s.f1[i] - s.k1[i]
-		}
-		s.lu.solve(s.ytmp, s.k2)
-		for i := 0; i < n; i++ {
-			s.k2[i] += s.k1[i]
-		}
-		// ynew = y + h·k2; f2 = f(t+h, ynew).
-		for i := 0; i < n; i++ {
-			s.ynew[i] = y0[i] + h*s.k2[i]
-		}
-		f(t+h, s.ynew, s.f2)
-		// k3 = W⁻¹·(f2 − e32·(k2 − f1) − 2·(k1 − f0)).
-		for i := 0; i < n; i++ {
-			s.ytmp[i] = s.f2[i] - rosE32*(s.k2[i]-s.f1[i]) - 2*(s.k1[i]-s.f0[i])
-		}
-		s.lu.solve(s.ytmp, s.k3)
+		errNorm := s.attempt(f, t, h, y0, o)
 		st.Evals += 2
 		st.Solves += 3
-
-		// Embedded error estimate: err = (h/6)·(k1 − 2k2 + k3).
-		errNorm := 0.0
-		for i := 0; i < n; i++ {
-			e := h / 6 * (s.k1[i] - 2*s.k2[i] + s.k3[i])
-			sc := o.AbsTol + o.RelTol*math.Max(math.Abs(y0[i]), math.Abs(s.ynew[i]))
-			r := e / sc
-			errNorm += r * r
+		// fac = clamp(0.9·err^(−1/3), 0.2, 5).
+		fac := 5.0
+		if errNorm > 0 {
+			fac = math.Max(0.2, math.Min(5, 0.9*math.Pow(errNorm, -1.0/3)))
 		}
-		errNorm = math.Sqrt(errNorm / float64(n))
 
 		if errNorm <= 1 || h <= o.MinStep*1.01 {
 			st.Accepted++
 			t += h
 			st.T = t
-			jacAge++
+			jacStale = true
 			if o.Obs != nil {
 				o.Obs.OnStep(obs.Step{T: t, H: h, ErrNorm: errNorm, Accepted: true})
 			}
@@ -223,35 +176,71 @@ func (s *Stiff) Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 floa
 			if cb != nil {
 				modified, stop := cb(t, y0)
 				if modified {
-					// State jumped: recompute the cached derivative and
-					// force a fresh Jacobian before the next step.
+					// State jumped: recompute the cached derivative.
 					f(t, y0, s.f0)
 					st.Evals++
-					hFact = 0
 				}
 				if stop {
 					return st, nil
 				}
 			}
-			// Step-growth deadband: growing h means refactoring, so only
-			// grow when the controller is emphatic.
-			fac := 0.9 * math.Pow(errNorm, -1.0/3)
-			if errNorm == 0 {
-				fac = 5
+			if retry {
+				fac = math.Min(fac, 1)
+				retry = false
 			}
-			fac = math.Min(5, fac)
-			if fac >= hGrowDeadband {
-				h = math.Min(h*fac, o.MaxStep)
-			}
+			h = math.Min(h*fac, o.MaxStep)
 		} else {
 			st.Rejected++
+			retry = true
 			if o.Obs != nil {
 				o.Obs.OnStep(obs.Step{T: t, H: h, ErrNorm: errNorm, Accepted: false})
 			}
-			fac := math.Max(0.2, 0.9*math.Pow(errNorm, -1.0/3))
 			h *= fac
 		}
 	}
 	st.T = t
 	return st, nil
+}
+
+// attempt takes one ode23s step of size h from (t, y0), whose derivative
+// is in s.f0, against the current factorization of I − h·d·J. It leaves
+// the candidate state in s.ynew and its derivative in s.f2, and returns the
+// RMS error estimate scaled by the tolerances.
+func (s *Stiff) attempt(f Func, t, h float64, y0 []float64, o Options) float64 {
+	n := len(y0)
+	// k1 = W⁻¹·f0.
+	s.lu.solve(s.f0, s.k1)
+	// f1 = f(t + h/2, y + (h/2)·k1).
+	for i := 0; i < n; i++ {
+		s.ytmp[i] = y0[i] + 0.5*h*s.k1[i]
+	}
+	f(t+0.5*h, s.ytmp, s.f1)
+	// k2 = W⁻¹·(f1 − k1) + k1.
+	for i := 0; i < n; i++ {
+		s.ytmp[i] = s.f1[i] - s.k1[i]
+	}
+	s.lu.solve(s.ytmp, s.k2)
+	for i := 0; i < n; i++ {
+		s.k2[i] += s.k1[i]
+	}
+	// ynew = y + h·k2; f2 = f(t+h, ynew).
+	for i := 0; i < n; i++ {
+		s.ynew[i] = y0[i] + h*s.k2[i]
+	}
+	f(t+h, s.ynew, s.f2)
+	// k3 = W⁻¹·(f2 − e32·(k2 − f1) − 2·(k1 − f0)).
+	for i := 0; i < n; i++ {
+		s.ytmp[i] = s.f2[i] - rosE32*(s.k2[i]-s.f1[i]) - 2*(s.k1[i]-s.f0[i])
+	}
+	s.lu.solve(s.ytmp, s.k3)
+
+	// Embedded error estimate: err = (h/6)·(k1 − 2k2 + k3).
+	errNorm := 0.0
+	for i := 0; i < n; i++ {
+		e := h / 6 * (s.k1[i] - 2*s.k2[i] + s.k3[i])
+		sc := o.AbsTol + o.RelTol*math.Max(math.Abs(y0[i]), math.Abs(s.ynew[i]))
+		r := e / sc
+		errNorm += r * r
+	}
+	return math.Sqrt(errNorm / float64(n))
 }

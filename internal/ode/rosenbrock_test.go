@@ -233,7 +233,7 @@ func TestSparseLUAgainstDense(t *testing.T) {
 		}
 		hd := 0.05 + 0.5*rng.Float64()
 
-		lu := newSparseLU(n, colPtr, rowIdx)
+		lu := newSparseLU(n, colPtr, rowIdx, minDegreeOrder(n, colPtr, rowIdx))
 		lu.setShifted(hd, jnz)
 		if err := lu.factor(); err != nil {
 			// Random matrices can legitimately produce a zero pivot
@@ -271,7 +271,7 @@ func TestSparseLUAgainstDense(t *testing.T) {
 func TestSparseLUSolveAliasing(t *testing.T) {
 	colPtr := []int32{0, 1, 2}
 	rowIdx := []int32{1, 0} // J = [[0, a], [b, 0]]
-	lu := newSparseLU(2, colPtr, rowIdx)
+	lu := newSparseLU(2, colPtr, rowIdx, minDegreeOrder(2, colPtr, rowIdx))
 	lu.setShifted(0.1, []float64{2, 3})
 	if err := lu.factor(); err != nil {
 		t.Fatal(err)

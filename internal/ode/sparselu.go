@@ -3,27 +3,33 @@ package ode
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // sparseLU is a pattern-reusing sparse LU factorization of the Rosenbrock
 // shifted matrix M = I − h·d·J, where J is a Jacobian with a fixed CSC
 // sparsity pattern. Because the pattern never changes across an integration,
-// the symbolic analysis — the fill-in pattern of L and U under left-looking
-// Gilbert–Peierls elimination without pivoting — runs once in newSparseLU;
-// every later (h, J) combination reuses it, so setShifted+factor+solve
-// allocate nothing (pinned by TestStiffInnerLoopAllocs).
+// the analysis — a fill-reducing pivot order (minDegreeOrder), then the
+// fill-in pattern of L and U under left-looking Gilbert–Peierls elimination
+// in that order (newSparseLU) — runs once per integrator; every later
+// (h, J) combination reuses it, so setShifted+factor+solve allocate nothing
+// (pinned by TestStiffInnerLoopAllocs).
 //
-// No pivoting is safe here in the same sense the W-method itself is: the
-// shifted matrix is I − h·d·J with h·d small against the fast eigenvalues
-// the factorization matters for, so it is strongly diagonally weighted; if a
-// pivot still collapses, factor reports errSingular and the integrator
-// rejects the step and shrinks h rather than patching the factorization.
+// The factorization is of the symmetrically permuted P·M·Pᵀ = L·U. A
+// symmetric permutation keeps the diagonal on the diagonal, so no numeric
+// pivoting is needed: the shifted matrix I − h·d·J is strongly diagonally
+// weighted. If a pivot still collapses, factor reports errSingular and the
+// integrator rejects the step and shrinks h rather than patching the
+// factorization.
 type sparseLU struct {
 	n int
 
-	// M in CSC. Pattern = pattern(J) ∪ diagonal. vals is refilled by
-	// setShifted; jmap[e] is the M slot of J's e-th nonzero and diagSlot[p]
-	// the M slot of (p,p).
+	// perm[k] is the row and column of M that pivot k eliminates.
+	perm []int32
+
+	// P·M·Pᵀ in CSC. Pattern = pattern(J) ∪ diagonal, permuted. vals is
+	// refilled by setShifted; jmap[e] is the slot of J's e-th nonzero and
+	// diagSlot[k] the slot of the k-th diagonal entry.
 	mColPtr  []int32
 	mRowIdx  []int32
 	mVals    []float64
@@ -41,7 +47,7 @@ type sparseLU struct {
 	uVals   []float64
 
 	// x is the dense accumulator column of the numeric phase; also the
-	// scratch vector of solve.
+	// permuted scratch vector of solve.
 	x []float64
 }
 
@@ -54,49 +60,114 @@ var errSingular = errors.New("ode: singular shifted matrix (zero pivot)")
 // means genuine (near-)singularity, not scaling.
 const minPivot = 1e-280
 
-// newSparseLU builds the shifted-matrix pattern and the symbolic L/U fill
-// pattern for a Jacobian with the given n-column CSC sparsity structure.
-func newSparseLU(n int, jColPtr, jRowIdx []int32) *sparseLU {
-	lu := &sparseLU{n: n}
-
-	// Pattern of M = pattern(J) ∪ diagonal, rows ascending per column.
-	lu.mColPtr = make([]int32, n+1)
-	lu.jmap = make([]int32, len(jRowIdx))
-	lu.diagSlot = make([]int32, n)
-	mRows := make([]int32, 0, len(jRowIdx)+n)
+// minDegreeOrder returns a fill-reducing pivot order for a Jacobian with the
+// given n-column CSC pattern: minimum degree on the graph of
+// pattern(J) ∪ pattern(Jᵀ), eliminating one node at a time and joining its
+// neighbours into a clique. Ties go to the lowest index, so one pattern
+// always yields one order and the factors are bit-reproducible. The scan
+// for the minimum is O(n) per pivot, O(n²) in all, like the symbolic pass
+// it precedes; it runs once per integrator, not per step.
+func minDegreeOrder(n int, colPtr, rowIdx []int32) []int32 {
+	adj := make([][]int32, n)
 	for p := 0; p < n; p++ {
-		lu.mColPtr[p] = int32(len(mRows))
-		lo, hi := jColPtr[p], jColPtr[p+1]
-		diagDone := false
-		for e := lo; e < hi; e++ {
-			r := jRowIdx[e]
-			if !diagDone && r >= int32(p) {
-				if r != int32(p) {
-					lu.diagSlot[p] = int32(len(mRows))
-					mRows = append(mRows, int32(p))
-				}
-				diagDone = true
+		for e := colPtr[p]; e < colPtr[p+1]; e++ {
+			if r := rowIdx[e]; int(r) != p {
+				adj[p] = append(adj[p], r)
+				adj[r] = append(adj[r], int32(p))
 			}
-			if r == int32(p) {
-				lu.diagSlot[p] = int32(len(mRows))
+		}
+	}
+	// union appends to out the members of ws not yet stamped with mark.
+	stamp := make([]int, n)
+	mark := 0
+	union := func(out, ws []int32) []int32 {
+		for _, w := range ws {
+			if stamp[w] != mark {
+				stamp[w] = mark
+				out = append(out, w)
 			}
-			lu.jmap[e] = int32(len(mRows))
-			mRows = append(mRows, r)
 		}
-		if !diagDone {
-			lu.diagSlot[p] = int32(len(mRows))
-			mRows = append(mRows, int32(p))
+		return out
+	}
+	for i, a := range adj { // drop the duplicates of symmetric entries
+		mark++
+		stamp[i] = mark
+		adj[i] = union(a[:0], a)
+	}
+
+	perm := make([]int32, 0, n)
+	done := make([]bool, n)
+	for len(perm) < n {
+		v := -1
+		for i := range adj {
+			if !done[i] && (v < 0 || len(adj[i]) < len(adj[v])) {
+				v = i
+			}
 		}
+		perm = append(perm, int32(v))
+		done[v] = true
+		// adj[u] ← adj[u] ∪ adj[v] − {u, v} for every neighbour u of v:
+		// the elimination graph stays symmetric and free of done nodes.
+		for _, u := range adj[v] {
+			mark++
+			stamp[u], stamp[v] = mark, mark
+			adj[u] = union(union(adj[u][:0], adj[u]), adj[v])
+		}
+		adj[v] = nil
+	}
+	return perm
+}
+
+// newSparseLU builds the permuted shifted-matrix pattern and the symbolic
+// L/U fill pattern for a Jacobian with the given n-column CSC sparsity
+// structure, eliminating in the pivot order perm (a permutation of 0..n-1).
+func newSparseLU(n int, jColPtr, jRowIdx []int32, perm []int32) *sparseLU {
+	lu := &sparseLU{n: n, perm: perm}
+	iperm := make([]int32, n)
+	for k, p := range perm {
+		iperm[p] = int32(k)
+	}
+
+	// Pattern of P·M·Pᵀ: column k holds J's column perm[k] with rows
+	// renumbered by iperm, plus the diagonal, rows ascending.
+	lu.mColPtr = make([]int32, n+1)
+	mRows := make([]int32, 0, len(jRowIdx)+n)
+	for k, p := range perm {
+		start := len(mRows)
+		lu.mColPtr[k] = int32(start)
+		mRows = append(mRows, int32(k))
+		for e := jColPtr[p]; e < jColPtr[p+1]; e++ {
+			if r := iperm[jRowIdx[e]]; r != int32(k) {
+				mRows = append(mRows, r)
+			}
+		}
+		slices.Sort(mRows[start:])
 	}
 	lu.mColPtr[n] = int32(len(mRows))
 	lu.mRowIdx = mRows
 	lu.mVals = make([]float64, len(mRows))
 
-	// Symbolic elimination: with no pivoting the fill pattern of column j is
-	// the rows of M(:,j) closed under "k in pattern, k < j ⇒ rows of L(:,k)
-	// in pattern". Left-looking order makes each L column complete before it
-	// is merged. The O(n) sweep per column is fine: this runs once per
-	// integration, not per step.
+	slot := func(k, r int32) int32 {
+		lo, hi := lu.mColPtr[k], lu.mColPtr[k+1]
+		i, _ := slices.BinarySearch(mRows[lo:hi], r)
+		return lo + int32(i)
+	}
+	lu.jmap = make([]int32, len(jRowIdx))
+	for p := 0; p < n; p++ {
+		for e := jColPtr[p]; e < jColPtr[p+1]; e++ {
+			lu.jmap[e] = slot(iperm[p], iperm[jRowIdx[e]])
+		}
+	}
+	lu.diagSlot = make([]int32, n)
+	for k := range lu.diagSlot {
+		lu.diagSlot[k] = slot(int32(k), int32(k))
+	}
+
+	// Symbolic elimination: with no numeric pivoting the fill pattern of
+	// column j is the rows of M(:,j) closed under "k in pattern, k < j ⇒
+	// rows of L(:,k) in pattern". Left-looking order makes each L column
+	// complete before it is merged. The O(n) sweep per column is fine: this
+	// runs once per integration, not per step.
 	mark := make([]bool, n)
 	lu.lColPtr = make([]int32, n+1)
 	lu.uColPtr = make([]int32, n+1)
@@ -105,7 +176,6 @@ func newSparseLU(n int, jColPtr, jRowIdx []int32) *sparseLU {
 		for e := lu.mColPtr[j]; e < lu.mColPtr[j+1]; e++ {
 			mark[lu.mRowIdx[e]] = true
 		}
-		mark[j] = true // diagonal always structurally present
 		for k := 0; k < j; k++ {
 			if !mark[k] {
 				continue
@@ -140,8 +210,8 @@ func newSparseLU(n int, jColPtr, jRowIdx []int32) *sparseLU {
 	return lu
 }
 
-// setShifted fills M = I − hd·J from the Jacobian nonzeros. jnz must be in
-// the CSC order newSparseLU was built from.
+// setShifted fills P·M·Pᵀ with M = I − hd·J from the Jacobian nonzeros. jnz
+// must be in the CSC order newSparseLU was built from.
 func (lu *sparseLU) setShifted(hd float64, jnz []float64) {
 	for i := range lu.mVals {
 		lu.mVals[i] = 0
@@ -149,15 +219,15 @@ func (lu *sparseLU) setShifted(hd float64, jnz []float64) {
 	for e, slot := range lu.jmap {
 		lu.mVals[slot] = -hd * jnz[e]
 	}
-	for p := 0; p < lu.n; p++ {
-		lu.mVals[lu.diagSlot[p]] += 1
+	for _, slot := range lu.diagSlot {
+		lu.mVals[slot] += 1
 	}
 }
 
-// factor runs the numeric left-looking factorization M = L·U over the
-// precomputed symbolic pattern. Without pivoting the ascending row order of
-// each U column is a valid topological order: the update from pivot k only
-// touches rows > k, so by the time row k is read it is final.
+// factor runs the numeric left-looking factorization P·M·Pᵀ = L·U over the
+// precomputed symbolic pattern. Without numeric pivoting the ascending row
+// order of each U column is a valid topological order: the update from
+// pivot k only touches rows > k, so by the time row k is read it is final.
 func (lu *sparseLU) factor() error {
 	x := lu.x
 	for j := 0; j < lu.n; j++ {
@@ -201,8 +271,10 @@ func (lu *sparseLU) factor() error {
 // alias. It allocates nothing.
 func (lu *sparseLU) solve(b, out []float64) {
 	x := lu.x
-	copy(x, b)
-	// Forward: L·z = b, L unit lower triangular, column-oriented.
+	for k, p := range lu.perm {
+		x[k] = b[p]
+	}
+	// Forward: L·z = P·b, L unit lower triangular, column-oriented.
 	for j := 0; j < lu.n; j++ {
 		zj := x[j]
 		if zj == 0 {
@@ -212,7 +284,7 @@ func (lu *sparseLU) solve(b, out []float64) {
 			x[lu.lRowIdx[e]] -= lu.lVals[e] * zj
 		}
 	}
-	// Backward: U·out = z, diagonal stored last per column.
+	// Backward: U·w = z, diagonal stored last per column; out = Pᵀ·w.
 	for j := lu.n - 1; j >= 0; j-- {
 		xj := x[j] / lu.uVals[lu.uColPtr[j+1]-1]
 		x[j] = xj
@@ -223,9 +295,7 @@ func (lu *sparseLU) solve(b, out []float64) {
 			x[lu.uRowIdx[e]] -= lu.uVals[e] * xj
 		}
 	}
-	copy(out, x)
+	for k, p := range lu.perm {
+		out[p] = x[k]
+	}
 }
-
-// nnzLU reports the fill of the factorization (len L + len U values), for
-// diagnostics and tests.
-func (lu *sparseLU) nnzLU() int { return len(lu.lVals) + len(lu.uVals) }

@@ -25,6 +25,7 @@ package phases
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/crn"
 	"repro/internal/obs"
@@ -195,8 +196,16 @@ func (s *Scheme) AddTransferN(name, src string, q int, products map[string]int) 
 			return fmt.Errorf("phases: transfer %q: product %q is %s, want %s", name, p, pc, from.Next())
 		}
 	}
+	// Register new products in name order: map order would number them
+	// differently on every build.
+	names := make([]string, 0, len(products))
+	for p := range products {
+		names = append(names, p)
+	}
+	sort.Strings(names)
 	prods := make(map[string]int, len(products))
-	for p, c := range products {
+	for _, p := range names {
+		c := products[p]
 		if c < 1 {
 			return fmt.Errorf("phases: transfer %q: product %q coefficient %d < 1", name, p, c)
 		}

@@ -25,8 +25,17 @@ fi
 go test -race -count=2 -timeout 10m ./internal/sim/kernel/
 # The Rosenbrock integrator owns mutable factor/workspace buffers reused
 # across steps; doubled -race guards the stiff path the same way (its tests
-# include the Jacobian-vs-finite-difference property sweep).
+# include the reordered-LU-vs-dense property sweep over synthesized
+# networks).
 go test -race -count=2 -timeout 10m ./internal/ode/
+# Species numbering must not follow map iteration order. When it did, the
+# species order changed from build to build, E12's finals moved in the last
+# bits, and its parallel-vs-sequential golden comparison failed about one
+# run in six.
+go test -count=20 -run 'TestGridExperimentsParallelGolden/E12' ./internal/exper/
+# The serving benchmark's determinism test: one seed sends the same request
+# bytes, gets the same reply bytes and counts the same work (~17 s).
+(cd perfbench && go test ./...)
 # The SoA ensemble engine and its sim-layer front (RunMany) move lanes of
 # shared state under worker pools; doubled -race over the block engine and
 # the RunMany/bit-identity tests guards the lane bookkeeping.

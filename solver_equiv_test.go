@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/crn"
-	"repro/internal/sfg"
+	"repro/internal/sfg/sfgtest"
 	"repro/internal/sim"
 	"repro/internal/sim/kernel"
 	"repro/internal/synth"
@@ -49,43 +49,6 @@ func TestRingSolverEquivalence(t *testing.T) {
 	}
 }
 
-// randomSFG draws a random feed-forward signal-flow graph: an input feeding
-// a chain of delays, rational gains and adders, closed by an output. The
-// gain denominators are chosen so synthesis emits the whole molecularity
-// range — bimolecular halvings for powers of two, a general (≥3-molecular)
-// stage for odd q.
-func randomSFG(t testing.TB, rng *rand.Rand) *sfg.Graph {
-	t.Helper()
-	g := sfg.New()
-	if err := g.Input("x"); err != nil {
-		t.Fatal(err)
-	}
-	nodes := []string{"x"}
-	pick := func() string { return nodes[rng.Intn(len(nodes))] }
-	stages := 3 + rng.Intn(4)
-	for i := 0; i < stages; i++ {
-		name := fmt.Sprintf("n%d", i)
-		var err error
-		switch rng.Intn(3) {
-		case 0:
-			err = g.Delay(name, pick(), rng.Float64())
-		case 1:
-			q := []int{1, 2, 3, 4}[rng.Intn(4)]
-			err = g.Gain(name, pick(), 1+rng.Intn(3), q)
-		default:
-			err = g.Add(name, pick(), pick())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, name)
-	}
-	if err := g.Output("y", nodes[len(nodes)-1]); err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
 // TestSynthJacobianProperty is the integration-level Jacobian property test:
 // networks are not hand-rolled but synthesized from randomized signal-flow
 // graphs (the repo's real workload generator), then every dense Jacobian
@@ -104,7 +67,7 @@ func TestSynthJacobianProperty(t *testing.T) {
 	}
 	formsSeen := map[int8]bool{}
 	for trial := 0; trial < 12; trial++ {
-		g := randomSFG(t, rng)
+		g := sfgtest.Random(t, rng)
 		cp, err := synth.Compile(g, fmt.Sprintf("t%d", trial))
 		if err != nil {
 			t.Fatalf("trial %d: synth.Compile: %v", trial, err)
@@ -157,5 +120,28 @@ func TestSynthJacobianProperty(t *testing.T) {
 		if !formsSeen[f] {
 			t.Errorf("rate-law form %d never drawn; widen the generator", f)
 		}
+	}
+}
+
+// TestStiffControllerRing4 pins the Rosenbrock step controller where the
+// stiff path earns its keep: the 4-register ring at fast/slow = 3e4. With a
+// Jacobian evaluated at every step's start the ode23s error estimate is
+// trustworthy, so rejections stay rare; and no attempt factors twice.
+func TestStiffControllerRing4(t *testing.T) {
+	capt := &odeEndCapture{}
+	if _, err := sim.Run(context.Background(), buildRingNet(t, 4), sim.Config{
+		Method: sim.ODE, Solver: sim.SolverStiff,
+		Rates: sim.Rates{Fast: 3e4, Slow: 1}, TEnd: 10, Obs: capt,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	od := capt.end.ODE
+	t.Logf("accepted %d, rejected %d, factorizations %d, jacobians %d, solves %d",
+		od.StiffSteps, od.Rejected, od.Factorizations, od.JacEvals, od.Solves)
+	if od.Rejected*50 > od.StiffSteps {
+		t.Errorf("%d rejections for %d accepted steps, want at most 2%%", od.Rejected, od.StiffSteps)
+	}
+	if od.Factorizations > od.StiffSteps+od.Rejected {
+		t.Errorf("%d factorizations for %d attempts", od.Factorizations, od.StiffSteps+od.Rejected)
 	}
 }
