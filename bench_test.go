@@ -238,7 +238,7 @@ func benchEnsembleRing(b *testing.B, finalsOnly bool) {
 func BenchmarkEnsembleRing(b *testing.B)           { benchEnsembleRing(b, false) }
 func BenchmarkEnsembleRingFinalsOnly(b *testing.B) { benchEnsembleRing(b, true) }
 
-// benchObsRegistry builds a registry shaped like a live coordinator's:
+// benchObsRegistry builds a registry shaped like a live server's:
 // ~200 series across counters, gauges and histograms.
 func benchObsRegistry() *obs.Registry {
 	reg := obs.NewRegistry()

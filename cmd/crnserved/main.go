@@ -19,20 +19,10 @@
 // (-tsdb-step, -tsdb-retention) that backs the statusz sparklines, ad-hoc
 // queries at GET /debug/query, and a continuously evaluated alert rule set
 // (-rules, validated offline with -check-rules; built-in defaults cover
-// cluster, serving and clock health). When a rule fires, the flight
+// serving and clock health). When a rule fires, the flight
 // recorder freezes the recent past — SSE events, spans and the rule's
 // input series — into a capsule at GET /debug/flightz/{id}, persisted
 // under -flightdir when set.
-//
-// Multiple crnserved processes form a sweep-executing cluster: start one
-// coordinator with -cluster and any number of workers with
-// -join http://<coordinator>. Sweep jobs submitted to the coordinator are
-// sharded into bounded partitions across the alive workers with work
-// stealing and retry-on-failure, and the merged results are byte-identical
-// to single-node execution (each point keeps its globally derived RNG seed).
-// Worker metrics fold into the coordinator's /metrics under node="<id>"
-// labels and the /debug/statusz cluster panel shows the worker table and
-// live partition map.
 //
 // -debug-addr (off by default) opens a second, operator-only listener with
 // the deep-introspection surface: continuous profiling via /debug/pprof/*,
@@ -68,7 +58,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/alert"
 	"repro/internal/server"
@@ -99,16 +88,6 @@ type options struct {
 	rulesFile     string        // alert rules JSON ("" = built-in defaults)
 	checkRules    bool          // validate -rules and exit
 	flightDir     string        // flight capsules persisted here ("" = memory only)
-
-	clusterMode      bool   // coordinator: accept workers, shard sweep jobs
-	join             string // worker: coordinator base URL to join
-	advertise        string // worker: own base URL ("" = http://127.0.0.1:<boundport>)
-	node             string // worker identity ("" = worker-<boundaddr>)
-	heartbeat        time.Duration
-	heartbeatTimeout time.Duration
-	chunkTarget      int
-	chunkMax         int
-	partitionDelay   time.Duration
 }
 
 func main() {
@@ -135,15 +114,6 @@ func main() {
 	flag.StringVar(&o.rulesFile, "rules", "", "alert rules JSON file (empty = built-in defaults)")
 	flag.BoolVar(&o.checkRules, "check-rules", false, "validate the -rules file and exit")
 	flag.StringVar(&o.flightDir, "flightdir", "", "directory for persisted flight capsules (empty = in-memory only)")
-	flag.BoolVar(&o.clusterMode, "cluster", false, "coordinator mode: accept cluster workers and shard sweep jobs across them")
-	flag.StringVar(&o.join, "join", "", "worker mode: coordinator base URL to join (e.g. http://10.0.0.1:8080)")
-	flag.StringVar(&o.advertise, "advertise", "", "worker: own base URL dialed back by the coordinator (empty = http://127.0.0.1:<boundport>)")
-	flag.StringVar(&o.node, "node", "", "worker identity, unique per cluster (empty = worker-<boundaddr>)")
-	flag.DurationVar(&o.heartbeat, "heartbeat", 0, "cluster heartbeat interval (0 = 1s)")
-	flag.DurationVar(&o.heartbeatTimeout, "heartbeat-timeout", 0, "age past which a silent worker is lost (0 = 3x heartbeat)")
-	flag.IntVar(&o.chunkTarget, "chunk-target", 0, "coordinator: sweep chunks per alive worker (0 = 4)")
-	flag.IntVar(&o.chunkMax, "chunk-max", 0, "coordinator: max sweep points per partition (0 = 256)")
-	flag.DurationVar(&o.partitionDelay, "partition-delay", 0, "artificial pre-partition delay for scale-model benchmarking (leave 0 in production)")
 	flag.Parse()
 
 	if o.checkRules {
@@ -198,7 +168,6 @@ func serve(ctx context.Context, o options, ready, debugReady chan<- net.Addr) er
 		TraceCapacity:     o.traceCap,
 		EventBuffer:       o.eventBuf,
 		ProcSampleEvery:   o.procEvery,
-		PartitionDelay:    o.partitionDelay,
 		TSDBStep:          o.tsdbStep,
 		TSDBRetention:     o.tsdbRetention,
 		FlightDir:         o.flightDir,
@@ -209,14 +178,6 @@ func serve(ctx context.Context, o options, ready, debugReady chan<- net.Addr) er
 			return fmt.Errorf("-rules: %w", err)
 		}
 		cfg.Rules = rules
-	}
-	if o.clusterMode {
-		cfg.Cluster = &cluster.Options{
-			HeartbeatEvery:   o.heartbeat,
-			HeartbeatTimeout: o.heartbeatTimeout,
-			ChunkTarget:      o.chunkTarget,
-			MaxChunk:         o.chunkMax,
-		}
 	}
 	switch o.accessLog {
 	case "":
@@ -246,31 +207,6 @@ func serve(ctx context.Context, o options, ready, debugReady chan<- net.Addr) er
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logger.Info("listening", "addr", ln.Addr().String())
-
-	// Worker mode: join the coordinator once the listener is up, so the
-	// advertised address is dialable the moment the membership exists. The
-	// loop deregisters on shutdown; memberDone gates the final exit so the
-	// best-effort leave gets its chance.
-	var memberDone chan struct{}
-	if o.join != "" {
-		adv, id := o.advertise, o.node
-		if adv == "" {
-			adv = "http://" + loopbackAddr(ln.Addr())
-		}
-		if id == "" {
-			id = "worker-" + ln.Addr().String()
-		}
-		memberDone = make(chan struct{})
-		go func() {
-			defer close(memberDone)
-			if err := cluster.Join(ctx, cluster.JoinConfig{
-				Coordinator: o.join, Advertise: adv, ID: id,
-				Every: o.heartbeat, Logger: logger,
-			}); err != nil {
-				logger.Warn("cluster membership loop failed", "err", err.Error())
-			}
-		}()
-	}
 
 	var debugSrv *http.Server
 	if o.debugAddr != "" {
@@ -323,27 +259,5 @@ func serve(ctx context.Context, o options, ready, debugReady chan<- net.Addr) er
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if memberDone != nil {
-		// The membership loop sends a bounded best-effort leave on ctx
-		// cancellation; give it that bound, never longer.
-		select {
-		case <-memberDone:
-		case <-time.After(3 * time.Second):
-		}
-	}
 	return nil
-}
-
-// loopbackAddr renders a bound listener address as a dialable host:port,
-// substituting loopback for the unspecified host a ":8080"-style listen
-// address produces.
-func loopbackAddr(a net.Addr) string {
-	host, port, err := net.SplitHostPort(a.String())
-	if err != nil {
-		return a.String()
-	}
-	if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-		host = "127.0.0.1"
-	}
-	return net.JoinHostPort(host, port)
 }

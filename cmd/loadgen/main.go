@@ -6,15 +6,14 @@
 //     bodies are response-cache hits after the first, so this class measures
 //     the cache-hot fast path and the HTTP overhead floor.
 //   - sweep: a seeded stochastic sweep job (POST /v1/jobs, polled to a
-//     terminal state). This class measures end-to-end job throughput — on a
-//     clustered coordinator, the scaling of the partition dispatcher.
+//     terminal state). This class measures end-to-end job throughput through
+//     the job store and the batch pool.
 //
 // The generator issues requests at -qps (token bucket; 0 = as fast as the
 // -concurrency workers allow) with -mix choosing the sweep fraction, stops
 // after -duration or -requests (whichever comes first), and prints a JSON
 // report: per-class request counts, error counts, p50/p90/p99/max latency,
-// requests/sec, and aggregate sweep points/sec — the number bench_cluster.sh
-// turns into a scaling curve.
+// requests/sec, and aggregate sweep points/sec.
 //
 // Usage:
 //

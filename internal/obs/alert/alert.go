@@ -1,11 +1,11 @@
 // Package alert is a declarative, continuously evaluated rule engine over
 // the embedded time-series store (internal/obs/tsdb). Rules express the
-// operational invariants of the serving and cluster layers — a worker went
-// absent, partition retries burst, the response cache collapsed, p99
-// latency blew its budget, clock-health alerts came in a burst — and the
-// engine turns them into states with memory: inactive → pending (the
-// condition holds but hasn't held For long enough) → firing → resolved
-// (the condition stayed clear for the re-arm hysteresis KeepFor).
+// operational invariants of the serving layer and of the simulated
+// chemistry — the response cache collapsed, p99 latency blew its budget,
+// too many requests failed with 5xx, clock-health alerts came in a burst —
+// and the engine turns them into states with memory: inactive → pending
+// (the condition holds but hasn't held For long enough) → firing →
+// resolved (the condition stayed clear for the re-arm hysteresis KeepFor).
 //
 // Evaluation is ticker-driven, not sample-driven, on purpose: rules read
 // windows of history (rates, quantile series, absence), so the natural

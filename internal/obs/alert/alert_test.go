@@ -169,9 +169,7 @@ func TestZeroForFiresImmediately(t *testing.T) {
 func TestAbsenceRule(t *testing.T) {
 	rule := Rule{Name: "gone", Kind: KindAbsence, Metric: `up{node="w1"}`, WindowSeconds: 3}
 	h := newHarness(t, []Rule{rule})
-	h.db.AddSource(func(emit func(string, tsdb.SeriesKind, float64)) {
-		emit(`up{node="w1"}`, tsdb.KindGauge, 1)
-	})
+	h.reg.Gauge(obs.Label("up", "node", "w1")).Set(1)
 	h.tick()
 	if st := h.state("gone"); st.State != StateInactive {
 		t.Fatalf("present series: state=%s want inactive", st.State)

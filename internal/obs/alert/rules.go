@@ -1,32 +1,12 @@
 package alert
 
-// DefaultRules is the built-in rule set covering the three layers the
-// ISSUE calls out: cluster health, serving health, and clock health. The
-// rules are written to stay silent on an idle server — threshold and
+// DefaultRules is the built-in rule set covering serving health and clock
+// health. The rules are written to stay silent on an idle server — threshold and
 // ratio rules treat "no data" as healthy (absence is its own kind), and
 // ratio rules carry a MinDen traffic floor so a single failed request on
 // an otherwise idle instance doesn't page anyone.
 func DefaultRules() []Rule {
 	return []Rule{
-		// --- cluster health ---
-		{
-			Name: "worker-absent", Severity: SevPage, Kind: KindThreshold,
-			Metric: `cluster_workers{state="lost"}`, Func: "last", Op: ">=", Value: 1,
-			WindowSeconds: 60, ForSeconds: 0, KeepSeconds: 15,
-			Detail: "a cluster worker missed its heartbeat deadline and was marked lost",
-		},
-		{
-			Name: "partition-retry-rate", Severity: SevWarn, Kind: KindThreshold,
-			Metric: "cluster_partition_retries_total", Func: "rate", Op: ">", Value: 0.5,
-			WindowSeconds: 120, ForSeconds: 10, KeepSeconds: 30,
-			Detail: "sweep partitions are being re-dispatched faster than 1 per 2s",
-		},
-		{
-			Name: "heartbeat-flap", Severity: SevWarn, Kind: KindThreshold,
-			Metric: "cluster_worker_flaps_total", Func: "rate", Op: ">", Value: 0.1,
-			WindowSeconds: 300, ForSeconds: 0, KeepSeconds: 60,
-			Detail: "workers are oscillating between lost and alive (network or GC pauses)",
-		},
 		// --- serving health ---
 		{
 			Name: "p99-latency", Severity: SevWarn, Kind: KindThreshold,

@@ -1,8 +1,8 @@
 // Package flight implements a flight recorder: when an alert rule fires,
 // it atomically snapshots the recent past — the last N SSE events, the
 // span ring, and the time-series windows feeding the rule — into a
-// bounded capsule, so the diagnosis of a dead worker or a broken sweep
-// does not depend on someone having been watching the dashboards.
+// bounded capsule, so the diagnosis of a misbehaving clock or a failing
+// route does not depend on someone having been watching the dashboards.
 //
 // The recorder is deliberately decoupled from the alert engine: it
 // defines its own Trigger type and the server glues the engine's
@@ -94,7 +94,7 @@ type Options struct {
 	// Window bounds the time-series history per capsule; 0 selects 15m.
 	Window time.Duration
 	// Extra metric globs captured into every capsule regardless of the
-	// trigger's inputs (process health, per-worker cluster series).
+	// trigger's inputs (for example process health, proc_*).
 	Extra []string
 	// Now is the injectable clock for tests; nil selects time.Now.
 	Now func() time.Time

@@ -31,12 +31,12 @@ func TestCaptureSnapshotsEventsSpansAndSeries(t *testing.T) {
 	store := tracer.Store()
 	db := tsdb.New(reg, tsdb.Options{Step: time.Second, Retention: time.Minute})
 
-	reg.Gauge(obs.Label("cluster_worker_up", "worker", "w1")).Set(1)
+	reg.Counter(obs.Label("clock_alerts_total", "rule", "phase_overlap")).Add(3)
 	reg.Counter("proc_gc_total").Add(2)
 	db.Poll()
 
-	sp := tracer.Root("sweep.retry")
-	sp.SetAttr("partition", 3)
+	sp := tracer.Root("sim.ssa")
+	sp.SetAttr("job.id", "j1")
 	sp.End()
 
 	dir := t.TempDir()
@@ -49,7 +49,7 @@ func TestCaptureSnapshotsEventsSpansAndSeries(t *testing.T) {
 	defer r.Stop()
 
 	broker.Publish(obs.StreamEvent{Kind: "job_progress", Job: "j1"})
-	broker.Publish(obs.StreamEvent{Kind: "alert", Data: map[string]any{"rule": "worker-absent"}})
+	broker.Publish(obs.StreamEvent{Kind: "alert", Data: map[string]any{"rule": "clock-alert-burst"}})
 	waitFor(t, "events buffered", func() bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
@@ -57,9 +57,9 @@ func TestCaptureSnapshotsEventsSpansAndSeries(t *testing.T) {
 	})
 
 	c := r.Capture(Trigger{
-		Rule: "worker-absent", State: "firing", Severity: "page",
+		Rule: "clock-alert-burst", State: "firing", Severity: "warn",
 		Value: 1, Threshold: 1,
-		Inputs: []string{"cluster_worker_up{*}"},
+		Inputs: []string{"clock_alerts_total{*}"},
 	})
 	if c == nil {
 		t.Fatal("Capture returned nil")
@@ -67,7 +67,7 @@ func TestCaptureSnapshotsEventsSpansAndSeries(t *testing.T) {
 	if len(c.Events) != 2 || c.Events[0].Kind != "job_progress" || c.Events[1].Kind != "alert" {
 		t.Fatalf("capsule events = %+v", c.Events)
 	}
-	if len(c.Spans) != 1 || c.Spans[0].Name != "sweep.retry" {
+	if len(c.Spans) != 1 || c.Spans[0].Name != "sim.ssa" {
 		t.Fatalf("capsule spans = %+v", c.Spans)
 	}
 	names := c.SeriesNames()
@@ -75,8 +75,8 @@ func TestCaptureSnapshotsEventsSpansAndSeries(t *testing.T) {
 	for _, n := range names {
 		found[n] = true
 	}
-	if !found[`cluster_worker_up{worker="w1"}`] || !found["proc_gc_total"] {
-		t.Fatalf("capsule series = %v, want worker series + proc extra", names)
+	if !found[`clock_alerts_total{rule="phase_overlap"}`] || !found["proc_gc_total"] {
+		t.Fatalf("capsule series = %v, want clock alert series + proc extra", names)
 	}
 
 	// Persistence: one JSON file per capsule, loadable.
@@ -88,7 +88,7 @@ func TestCaptureSnapshotsEventsSpansAndSeries(t *testing.T) {
 	if err := json.Unmarshal(b, &loaded); err != nil {
 		t.Fatalf("persisted capsule decode: %v", err)
 	}
-	if loaded.ID != c.ID || loaded.Trigger.Rule != "worker-absent" {
+	if loaded.ID != c.ID || loaded.Trigger.Rule != "clock-alert-burst" {
 		t.Fatalf("persisted capsule = %+v", loaded.Trigger)
 	}
 
@@ -97,7 +97,7 @@ func TestCaptureSnapshotsEventsSpansAndSeries(t *testing.T) {
 	if !ok || got.ID != c.ID {
 		t.Fatalf("Get(%s) = %v, %v", c.ID, got, ok)
 	}
-	if lst := r.List(); len(lst) != 1 || lst[0].Rule != "worker-absent" || lst[0].Events != 2 {
+	if lst := r.List(); len(lst) != 1 || lst[0].Rule != "clock-alert-burst" || lst[0].Events != 2 {
 		t.Fatalf("List = %+v", lst)
 	}
 }

@@ -470,21 +470,6 @@ func (r *Registry) Export() []Family {
 	return out
 }
 
-// Counters returns every counter's current value by full (possibly labelled)
-// name. It is the wire-transport companion of Snapshot: counters are the only
-// metric kind that merges losslessly by addition, so a cluster worker ships
-// its per-partition counter deltas as this plain map and the coordinator
-// folds them into its own registry (gauges and histograms stay node-local).
-func (r *Registry) Counters() map[string]float64 {
-	r.mu.Lock()
-	out := make(map[string]float64, len(r.counters))
-	for k, v := range r.counters {
-		out[k] = v.Value()
-	}
-	r.mu.Unlock()
-	return out
-}
-
 // Summary renders a short human-readable account of the registry, one metric
 // per line, histograms as count/mean.
 func (r *Registry) Summary() string {

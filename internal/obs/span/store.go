@@ -48,17 +48,6 @@ func (st *Store) add(d *Data) {
 	st.mu.Unlock()
 }
 
-// Ingest records an externally finished span — one produced in another
-// process, such as a cluster worker's partition executor, and shipped here
-// over the wire — so merged traces show remote work alongside local spans.
-// Nil spans are ignored; like add, Ingest is a no-op on a nil store.
-func (st *Store) Ingest(d *Data) {
-	if d == nil {
-		return
-	}
-	st.add(d)
-}
-
 // Len returns the number of spans currently retained.
 func (st *Store) Len() int {
 	if st == nil {

@@ -1,25 +1,27 @@
 // Package tsdb is an embedded, allocation-conscious time-series store for
 // the observability stack: it periodically samples every family of an
-// obs.Registry (plus any extra Sources) into fixed-size per-series ring
-// buffers and answers small longitudinal queries — instant, range,
-// rate-over-window — over the retained history.
+// obs.Registry into fixed-size per-series ring buffers and answers small
+// longitudinal queries — instant, range, rate-over-window — over the
+// retained history.
 //
-// The serving and cluster layers expose instants (/metrics, statusz); this
-// package is what turns them into history, so a worker that flapped five
-// minutes ago, a cache whose hit rate collapsed, or a burst of clock-health
-// alerts stays diagnosable after the fact. The alert rule engine
+// The serving layer exposes instants (/metrics, statusz); this package is
+// what turns them into history, so a latency spike five minutes ago, a
+// cache whose hit rate collapsed, or a burst of clock-health alerts stays
+// diagnosable after the fact. The alert rule engine
 // (internal/obs/alert) evaluates against this store, and the flight
 // recorder (internal/obs/flight) snapshots windows of it into capsules.
 //
 // Storage model: one global tick counter and timestamp ring shared by all
 // series, plus per-series fixed-size value rings stamped with the tick that
-// wrote each slot (so a series created mid-flight, or one whose source went
-// quiet, simply has stale stamps — no tombstones, no per-sample allocation).
-// Counters are stored as their raw cumulative values and rolled up
-// delta-aware at query time (negative deltas — counter resets — contribute
-// zero); histograms are rolled up at sample time into _count/_sum cumulative
-// series plus interval-quantile gauge series (_p50/_p90/_p99) computed from
-// consecutive cumulative-bucket deltas.
+// wrote each slot (so a series created mid-flight simply has stale stamps —
+// no tombstones, no per-sample allocation). Counters are stored as their raw
+// cumulative values and rolled up delta-aware at query time (negative
+// deltas — counter resets — contribute zero); a counter first seen after
+// the first poll also gets a zero sample at the previous poll, since the
+// registry creates counters at their first increment. Histograms are
+// rolled up at sample time into _count/_sum cumulative series plus
+// interval-quantile gauge series (_p50/_p90/_p99) computed from consecutive
+// cumulative-bucket deltas.
 package tsdb
 
 import (
@@ -42,12 +44,6 @@ const (
 	// KindGauge marks instantaneous series: windows roll up as avg/min/max.
 	KindGauge SeriesKind = 'g'
 )
-
-// Source contributes extra series at every poll, beyond the registry's own
-// families: emit is called once per series with its full (possibly
-// labelled) name, kind and current value. Sources run under the DB lock and
-// must be fast and non-blocking.
-type Source func(emit func(name string, kind SeriesKind, value float64))
 
 // Options tunes a DB. Zero values select the documented defaults.
 type Options struct {
@@ -97,7 +93,6 @@ type DB struct {
 
 	mu      sync.Mutex
 	reg     *obs.Registry
-	sources []Source
 	series  map[string]*series
 	names   []string // registration order, for stable listings
 	times   []int64  // unix nanos per slot, shared by all series
@@ -117,7 +112,7 @@ type histPrev struct {
 	cum    []uint64
 }
 
-// New builds a DB sampling reg (which may be nil when only Sources feed it).
+// New builds a DB sampling reg (a nil reg yields an always-empty store).
 func New(reg *obs.Registry, opts Options) *DB {
 	opts = opts.normalize()
 	slots := int(opts.Retention / opts.Step)
@@ -151,19 +146,9 @@ func (db *DB) Retention() time.Duration {
 	return db.opts.Retention
 }
 
-// AddSource registers an extra per-poll sample source.
-func (db *DB) AddSource(s Source) {
-	if db == nil || s == nil {
-		return
-	}
-	db.mu.Lock()
-	db.sources = append(db.sources, s)
-	db.mu.Unlock()
-}
-
-// Poll takes one sample of every registry family and every source, stamped
-// with the current clock. Safe to call concurrently with a running ticker
-// (polls serialize on the DB lock).
+// Poll takes one sample of every registry family, stamped with the current
+// clock. Safe to call concurrently with a running ticker (polls serialize
+// on the DB lock).
 func (db *DB) Poll() {
 	if db == nil {
 		return
@@ -192,11 +177,6 @@ func (db *DB) Poll() {
 			}
 		}
 	}
-	for _, src := range db.sources {
-		src(func(name string, kind SeriesKind, v float64) {
-			db.write(slot, name, kind, v)
-		})
-	}
 }
 
 // write records one value into a series' current slot, creating the series
@@ -211,6 +191,13 @@ func (db *DB) write(slot int, name string, kind SeriesKind, v float64) {
 		s = &series{kind: kind, vals: make([]float64, db.slots), ticks: make([]int64, db.slots)}
 		db.series[name] = s
 		db.names = append(db.names, name)
+		if kind == KindCounter && db.tick > 1 {
+			// The counter did not exist at the previous poll, so it read 0
+			// then: stamping that keeps its first increments visible to
+			// rate and delta. The first poll stays a baseline.
+			prev := (slot + db.slots - 1) % db.slots
+			s.ticks[prev] = db.tick - 1
+		}
 	}
 	s.vals[slot] = v
 	s.ticks[slot] = db.tick

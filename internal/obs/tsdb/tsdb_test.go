@@ -166,28 +166,58 @@ func TestHistogramQuantileRollup(t *testing.T) {
 	}
 }
 
-func TestSourcesAndGlobAggregation(t *testing.T) {
-	db, clk := newTestDB(t, nil, time.Second, time.Minute)
-	vals := map[string]float64{"w1": 2, "w2": 7}
-	db.AddSource(func(emit func(string, SeriesKind, float64)) {
-		for w, v := range vals {
-			emit(obs.Label("worker_points_total", "worker", w), KindCounter, v)
-			emit(obs.Label("worker_up", "worker", w), KindGauge, 1)
-		}
-	})
+func TestGlobAggregation(t *testing.T) {
+	reg := obs.NewRegistry()
+	db, clk := newTestDB(t, reg, time.Second, time.Minute)
+	points := map[string]*obs.Counter{}
+	for w, v := range map[string]float64{"w1": 2, "w2": 7} {
+		points[w] = reg.Counter(obs.Label("worker_points_total", "worker", w))
+		points[w].Add(v)
+		reg.Gauge(obs.Label("worker_busy", "worker", w)).Set(1)
+	}
 	db.Poll()
 	clk.Advance(time.Second)
-	vals["w1"], vals["w2"] = 5, 11
+	points["w1"].Add(3)
+	points["w2"].Add(4)
 	db.Poll()
 
 	if v, ok := db.Eval(Query{Metric: "worker_points_total{*}", Func: FuncDelta, Window: time.Minute, Agg: "sum"}); !ok || v != 7 {
 		t.Fatalf("summed worker delta = %v,%v want 7,true", v, ok)
 	}
-	if v, ok := db.Eval(Query{Metric: "worker_up{*}", Agg: "min"}); !ok || v != 1 {
-		t.Fatalf("min worker_up = %v,%v want 1,true", v, ok)
+	if v, ok := db.Eval(Query{Metric: "worker_busy{*}", Agg: "min"}); !ok || v != 1 {
+		t.Fatalf("min worker_busy = %v,%v want 1,true", v, ok)
 	}
 	if got := db.Match("worker_*"); len(got) != 4 {
 		t.Fatalf("Match(worker_*) = %v, want 4 series", got)
+	}
+}
+
+// TestCounterCreatedBetweenPolls: the registry creates a counter at its
+// first increment, so a burst that lands between two polls is the counter's
+// whole first sample. It must still count toward rate and delta.
+func TestCounterCreatedBetweenPolls(t *testing.T) {
+	reg := obs.NewRegistry()
+	db, clk := newTestDB(t, reg, time.Second, time.Minute)
+	db.Poll()
+	clk.Advance(time.Second)
+	reg.Counter(obs.Label("alerts_total", "rule", "phase_overlap")).Add(32)
+	db.Poll()
+
+	q := Query{Metric: "alerts_total{*}", Func: FuncDelta, Window: time.Minute, Agg: "sum"}
+	if v, ok := db.Eval(q); !ok || v != 32 {
+		t.Fatalf("delta over the first burst = %v,%v want 32,true", v, ok)
+	}
+	q.Func = FuncRate
+	if v, ok := db.Eval(q); !ok || v != 32 {
+		t.Fatalf("rate over the first burst = %v,%v want 32,true", v, ok)
+	}
+	// A counter present at the first poll keeps that poll as its baseline.
+	db2, clk2 := newTestDB(t, reg, time.Second, time.Minute)
+	db2.Poll()
+	clk2.Advance(time.Second)
+	db2.Poll()
+	if v, ok := db2.Eval(q); !ok || v != 0 {
+		t.Fatalf("rate of a counter seen at the first poll = %v,%v want 0,true", v, ok)
 	}
 }
 
@@ -215,12 +245,11 @@ func TestAbsenceAndStaleness(t *testing.T) {
 
 func TestMaxSeriesBound(t *testing.T) {
 	clk := newTestClock()
-	db := New(nil, Options{Step: time.Second, Retention: time.Minute, MaxSeries: 3, Now: clk.Now})
-	db.AddSource(func(emit func(string, SeriesKind, float64)) {
-		for i := 0; i < 10; i++ {
-			emit(fmt.Sprintf("s%d", i), KindGauge, 1)
-		}
-	})
+	reg := obs.NewRegistry()
+	for i := 0; i < 10; i++ {
+		reg.Gauge(fmt.Sprintf("s%d", i)).Set(1)
+	}
+	db := New(reg, Options{Step: time.Second, Retention: time.Minute, MaxSeries: 3, Now: clk.Now})
 	db.Poll()
 	st := db.DBStats()
 	if st.Series != 3 || st.Dropped != 7 {
@@ -251,7 +280,7 @@ func TestGlob(t *testing.T) {
 }
 
 // TestConcurrentPollAndQuery is the race-detector target: a background
-// ticker-style poller racing queries and source registration.
+// ticker-style poller racing queries.
 func TestConcurrentPollAndQuery(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("busy_total")
@@ -304,7 +333,6 @@ func TestNilDBIsNoOp(t *testing.T) {
 	db.Poll()
 	db.Start()
 	db.Stop()
-	db.AddSource(nil)
 	if _, ok := db.Eval(Query{Metric: "x"}); ok {
 		t.Fatal("nil DB reported data")
 	}

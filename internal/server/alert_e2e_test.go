@@ -9,11 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/alert"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/tsdb"
 )
 
 // nextAlertFrame reads one alert frame off the stream without touching the
@@ -42,87 +40,50 @@ func nextAlertFrame(r *sseReader) (map[string]any, bool) {
 	return nil, false
 }
 
-// TestWorkerDeathAlertAndFlightCapsule is the acceptance test of the whole
-// observability chain: a cluster worker dies mid-sweep and, with no test
-// code polling any internal state, the coordinator's own machinery must
+// TestClockAlertBurstAndFlightCapsule is the acceptance test of the whole
+// observability chain on the question "did the chemistry behave?": a
+// clock-health sweep raises phase_overlap alerts and, with no test code
+// polling any internal state, the server's own machinery must
 //
-//  1. notice — the worker-absent rule walks pending → firing → resolved,
-//     observed purely through the public SSE firehose;
+//  1. notice — a clock-alert-burst rule over clock_alerts_total walks
+//     pending → firing → resolved, observed purely through the public SSE
+//     firehose;
 //  2. preserve the evidence — a flight capsule exists at /debug/flightz
-//     containing the dead worker's heartbeat series and the partition
-//     retry span tree, and its on-disk copy survives.
+//     holding the clock_alerts_total series and the job's own alert
+//     events, and its on-disk copy survives.
 //
-// Everything is time-compressed: millisecond heartbeats, a 25ms sampling
-// step and a sub-second alert lifecycle.
-func TestWorkerDeathAlertAndFlightCapsule(t *testing.T) {
+// Everything is time-compressed: a 25ms sampling step, a 250ms rate window
+// and a sub-second alert lifecycle.
+func TestClockAlertBurstAndFlightCapsule(t *testing.T) {
 	flightDir := t.TempDir()
-	coord := New(Config{
-		Cluster: &cluster.Options{
-			HeartbeatEvery:   10 * time.Millisecond,
-			HeartbeatTimeout: 40 * time.Millisecond,
-		},
+	s := New(Config{
+		Workers: 1, MaxConcurrentSims: 1,
 		TSDBStep:   25 * time.Millisecond,
 		AlertEvery: 25 * time.Millisecond,
 		FlightDir:  flightDir,
 		Rules: []alert.Rule{{
-			Name: "worker-absent", Severity: "page", Kind: "threshold",
-			Metric: `cluster_workers{state="lost"}`, Func: "last",
-			Op: ">=", Value: 1,
-			WindowSeconds: 1, ForSeconds: 0.05, KeepSeconds: 0.05,
-			Detail: "a joined worker stopped heartbeating",
+			Name: "clock-alert-burst", Severity: "warn", Kind: "threshold",
+			Metric: "clock_alerts_total{*}", Func: "rate", Agg: "sum",
+			Op: ">", Value: 0,
+			WindowSeconds: 0.25, ForSeconds: 0.05, KeepSeconds: 0.05,
+			Detail: "a sweep raised clock-health alerts",
 		}},
 	})
-	srv := httptest.NewServer(coord.Handler())
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	// The only observation channel this test allows itself: alert frames
-	// off the public firehose, opened before anything goes wrong.
+	// off the public firehose, opened before the sweep starts.
 	sse, resp := openSSE(t, srv.URL+"/v1/stream?kind=alert")
 	defer resp.Body.Close()
 
-	// One worker joins with a listener that is already gone, so every
-	// partition dispatched to it fails and is retried — the same signal a
-	// crashed process produces. Its heartbeats continue until the first
-	// retry is on the books (guaranteeing the sweep really reached it),
-	// then stop: the crash.
-	worker := httptest.NewServer(New(Config{}).Handler())
-	coord.Coordinator().Join(cluster.JoinRequest{ID: "w1", Addr: worker.URL})
-	worker.Close()
-	beatStop := make(chan struct{})
-	beatDone := make(chan struct{})
-	go func() {
-		defer close(beatDone)
-		for {
-			select {
-			case <-beatStop:
-				return
-			case <-time.After(5 * time.Millisecond):
-				coord.Coordinator().Heartbeat("w1")
-			}
-		}
-	}()
-
-	// A seeded sweep submitted while the dead worker still counts as
-	// alive: its chunks are dispatched to w1, fail, and fall back local.
-	rec := do(t, coord.Handler(), "POST", "/v1/jobs", quickJob())
+	rec := do(t, s.Handler(), "POST", "/v1/jobs", clockHealthJob(t))
 	if rec.Code != 202 {
 		t.Fatalf("submit status %d: %s", rec.Code, rec.Body.String())
 	}
 	jobID := decode[JobStatus](t, rec).ID
 
-	retryDeadline := time.Now().Add(10 * time.Second)
-	for coord.Registry().Snapshot()["cluster_partition_retries_total"] == 0 {
-		if time.Now().After(retryDeadline) {
-			t.Fatal("no partition was ever dispatched to the doomed worker")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(beatStop)
-	<-beatDone
-
-	// The rule lifecycle, exactly as the SSE client tells it. Resolution
-	// needs the lost gauge back at zero, so once firing arrives the dead
-	// worker is administratively removed (lost → left). The reader
+	// The rule lifecycle, exactly as the SSE client tells it. The reader
 	// goroutine parses frames itself (no testing.T calls off the test
 	// goroutine) and exits when the response body is closed.
 	var states []string
@@ -134,7 +95,7 @@ func TestWorkerDeathAlertAndFlightCapsule(t *testing.T) {
 			if !ok {
 				return
 			}
-			if data["rule"] == "worker-absent" {
+			if data["rule"] == "clock-alert-burst" {
 				select {
 				case frames <- data:
 				default:
@@ -147,66 +108,51 @@ func TestWorkerDeathAlertAndFlightCapsule(t *testing.T) {
 		case data := <-frames:
 			state, _ := data["state"].(string)
 			states = append(states, state)
-			if state == "firing" {
-				coord.Coordinator().Leave("w1")
-			}
 		case <-deadline:
 			t.Fatalf("alert lifecycle incomplete after 15s: %v", states)
 		}
 	}
 	if want := []string{"pending", "firing", "resolved"}; len(states) != len(want) ||
 		states[0] != want[0] || states[1] != want[1] || states[2] != want[2] {
-		t.Fatalf("worker-absent lifecycle = %v, want %v", states, want)
+		t.Fatalf("clock-alert-burst lifecycle = %v, want %v", states, want)
 	}
-
-	st := pollJob(t, coord.Handler(), jobID)
-	if st.State != "done" {
-		t.Fatalf("sweep ended %q (%s) despite local fallback", st.State, st.Error)
-	}
-	if coord.Registry().Snapshot()["cluster_partition_retries_total"] == 0 {
-		t.Fatal("dead worker caused no partition retries")
+	if st := pollJob(t, s.Handler(), jobID); st.State != "done" {
+		t.Fatalf("sweep ended %q (%s)", st.State, st.Error)
 	}
 
 	// The flight capsule: captured at the pending→firing edge, served over
-	// the debug surface, carrying the worker's heartbeat series and the
-	// failed partition spans.
+	// the debug surface, carrying the rule's input series and the alert
+	// events the sweep published.
 	lst := decode[struct {
 		Capsules []flight.Info `json:"capsules"`
-	}](t, do(t, coord.DebugHandler(), "GET", "/debug/flightz", nil))
+	}](t, do(t, s.DebugHandler(), "GET", "/debug/flightz", nil))
 	var capID string
 	for _, info := range lst.Capsules {
-		if info.Rule == "worker-absent" && info.State == "firing" {
+		if info.Rule == "clock-alert-burst" && info.State == "firing" {
 			capID = info.ID
 		}
 	}
 	if capID == "" {
-		t.Fatalf("no worker-absent capsule in %+v", lst.Capsules)
+		t.Fatalf("no clock-alert-burst capsule in %+v", lst.Capsules)
 	}
-	capsule := decode[flight.Capsule](t, do(t, coord.DebugHandler(), "GET", "/debug/flightz/"+capID, nil))
+	capsule := decode[flight.Capsule](t, do(t, s.DebugHandler(), "GET", "/debug/flightz/"+capID, nil))
 
-	beatSeries := false
-	for name := range capsule.Series {
-		if strings.Contains(name, `worker="w1"`) &&
-			(strings.Contains(name, "cluster_worker_beat_age_seconds") ||
-				strings.Contains(name, "cluster_worker_up")) {
-			beatSeries = true
+	key := obs.Label("clock_alerts_total", "rule", "phase_overlap")
+	if len(capsule.Series[key]) == 0 {
+		t.Fatalf("capsule lacks %s, has %v", key, capsule.SeriesNames())
+	}
+	jobAlerts := 0
+	for _, ev := range capsule.Events {
+		if ev.Kind == "alert" && ev.Job == jobID && ev.Data["rule"] == "phase_overlap" {
+			jobAlerts++
 		}
 	}
-	if !beatSeries {
-		t.Fatalf("capsule lacks w1's heartbeat series, has %v", capsule.SeriesNames())
-	}
-	retrySpan := false
-	for _, sp := range capsule.Spans {
-		if strings.HasPrefix(sp.Name, "cluster.partition[") && sp.Status != "" {
-			retrySpan = true
+	if jobAlerts == 0 {
+		kinds := make([]string, 0, len(capsule.Events))
+		for _, ev := range capsule.Events {
+			kinds = append(kinds, ev.Kind)
 		}
-	}
-	if !retrySpan {
-		names := make([]string, 0, len(capsule.Spans))
-		for _, sp := range capsule.Spans {
-			names = append(names, sp.Name+"/"+sp.Status)
-		}
-		t.Fatalf("capsule lacks a failed partition span, has %v", names)
+		t.Fatalf("capsule lacks the job's phase_overlap alerts, has events %v", kinds)
 	}
 
 	// The on-disk copy round-trips to the same capsule.
@@ -218,16 +164,13 @@ func TestWorkerDeathAlertAndFlightCapsule(t *testing.T) {
 	if err := json.Unmarshal(raw, &disk); err != nil {
 		t.Fatalf("persisted capsule JSON: %v", err)
 	}
-	if disk.ID != capID || disk.Trigger.Rule != "worker-absent" || len(disk.Series) != len(capsule.Series) {
+	if disk.ID != capID || disk.Trigger.Rule != "clock-alert-burst" ||
+		len(disk.Series) != len(capsule.Series) || len(disk.Events) != len(capsule.Events) {
 		t.Fatalf("disk capsule %s/%s differs from served capsule %s", disk.ID, disk.Trigger.Rule, capID)
 	}
 
 	// tsdb stays alive behind all of it.
-	var stats tsdb.Stats
-	if coord.TSDB() != nil {
-		stats = coord.TSDB().DBStats()
-	}
-	if stats.Series == 0 || stats.Ticks == 0 {
+	if stats := s.TSDB().DBStats(); stats.Series == 0 || stats.Ticks == 0 {
 		t.Fatalf("tsdb idle during the incident: %+v", stats)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/sim"
@@ -102,10 +101,9 @@ type PointResult struct {
 
 // JobStatus is the body of GET /v1/jobs/{id}. Results appear only once the
 // job has drained (State done/failed/canceled); progress counters are live.
-// A job is "queued" from admission until its first sweep point begins
-// executing (a simulation slot acquired locally, or a partition dispatched
-// to a cluster worker), then "running" until it reaches a terminal state —
-// and a job canceled while still queued goes terminal like any other.
+// A job is "queued" from admission until its first sweep point acquires a
+// simulation slot, then "running" until it reaches a terminal state — and a
+// job canceled while still queued goes terminal like any other.
 type JobStatus struct {
 	ID        string        `json:"id"`
 	State     string        `json:"state"` // queued, running, done, failed, canceled
@@ -341,16 +339,6 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	activeG.Add(1)
 	jobsQueuedG.Add(1)
 
-	// markStarted flips the job queued -> running exactly once: locally when
-	// the first point wins a simulation slot, on the cluster path when the
-	// first partition is about to dispatch.
-	markStarted := func() {
-		if j.started.CompareAndSwap(false, true) {
-			jobsQueuedG.Add(-1)
-			jobsActiveG.Add(1)
-		}
-	}
-
 	watched := req.Watch || req.ClockHealth != nil
 	bc := sim.BatchConfig{
 		Base:       baseCfg,
@@ -363,7 +351,12 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 			if _, err := s.acquireSim(ctx); err != nil {
 				return nil, err
 			}
-			markStarted()
+			// The first point to win a simulation slot flips the job
+			// queued -> running, exactly once.
+			if j.started.CompareAndSwap(false, true) {
+				jobsQueuedG.Add(-1)
+				jobsActiveG.Add(1)
+			}
 			return s.releaseSim, nil
 		},
 		Configure: func(i int, cfg *sim.Config) {
@@ -418,11 +411,40 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 		}})
 	}
 
-	// finish settles the job whichever engine ran it: gauge bookkeeping
-	// (a job canceled while still queued releases the queued gauge and goes
-	// terminal like any other), state resolution, span closure, the terminal
-	// SSE event, and retention.
-	finish := func(ferr error) {
+	go func() {
+		defer close(run.done)
+		ens, runErr := sim.RunMany(runCtx, net, bc)
+		cancel(nil)
+
+		// Project finals for the points that succeeded; failed and skipped
+		// points keep the error text already in their slots.
+		for i := range j.results {
+			if ens == nil || ens.Errs[i] != nil || ens.Finals[i] == nil {
+				continue
+			}
+			final := make(map[string]float64, len(req.Record))
+			if len(req.Record) > 0 {
+				for _, name := range req.Record {
+					if col, ok := ens.Index(name); ok {
+						final[name] = ens.Finals[i][col]
+					}
+				}
+			} else {
+				for col, name := range ens.Names {
+					final[name] = ens.Finals[i][col]
+				}
+			}
+			j.results[i].Final = final
+		}
+		ferr := runErr
+		if ferr == nil && ens != nil {
+			ferr = ens.Err()
+		}
+
+		// Settle the job: gauge bookkeeping (a job canceled while still
+		// queued releases the queued gauge and goes terminal like any
+		// other), state resolution, span closure, the terminal SSE event,
+		// and retention.
 		run.err = ferr
 		j.finished.Store(true)
 		if leftover := j.pending.Swap(0); leftover > 0 {
@@ -459,87 +481,7 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 			"failed": failed, "total": j.total,
 		}})
 		st.retire()
-	}
-
-	if s.coord != nil && !watched && s.coord.AliveCount() > 0 {
-		// Cluster path: the coordinator shards the sweep into partitions and
-		// dispatches them to workers; outcomes merge back by global index, so
-		// the results are bit-identical to the local path below (watched jobs
-		// always run locally — their observers hold per-process state).
-		sw := &cluster.Sweep{
-			CRN: req.CRN, Method: req.Method, TEnd: req.TEnd,
-			SampleEvery: req.SampleEvery, Fast: req.Fast, Slow: req.Slow,
-			Unit: req.Unit, Seed: req.Seed, Runs: runs, Ratios: req.Ratios,
-			Record: req.Record, TimeoutSeconds: req.TimeoutSeconds,
-		}
-		jobSpan.SetAttr("job.cluster", true)
-		deliver := func(outs []cluster.Outcome) {
-			for _, o := range outs {
-				pr := PointResult{Index: o.Index, Ratio: pointRatio(o.Index),
-					Seed: pointSeed(o.Index), Final: o.Final}
-				if o.Err != "" {
-					pr.Err = o.Err
-					run.failed.Add(1)
-				} else {
-					run.completed.Add(1)
-				}
-				j.results[o.Index] = pr
-				j.pending.Add(-1)
-				pendingG.Add(-1)
-			}
-			s.broker.Publish(obs.StreamEvent{Kind: "job_progress", Job: j.id, Data: map[string]any{
-				"done": j.total - int(j.pending.Load()), "total": j.total,
-			}})
-		}
-		go func() {
-			defer close(run.done)
-			ferr := s.coord.Run(runCtx, j.id, sw, deliver, markStarted)
-			cancel(nil)
-			if ferr == nil {
-				// Mirror the single-node job error: the first failed point.
-				for i := range j.results {
-					if j.results[i].Err != "" {
-						ferr = fmt.Errorf("run %d: %s", i, j.results[i].Err)
-						break
-					}
-				}
-			}
-			finish(ferr)
-		}()
-	} else {
-		go func() {
-			defer close(run.done)
-			ens, runErr := sim.RunMany(runCtx, net, bc)
-			cancel(nil)
-
-			// Project finals for the points that succeeded; failed and skipped
-			// points keep the error text already in their slots.
-			for i := range j.results {
-				if ens == nil || ens.Errs[i] != nil || ens.Finals[i] == nil {
-					continue
-				}
-				final := make(map[string]float64, len(req.Record))
-				if len(req.Record) > 0 {
-					for _, name := range req.Record {
-						if col, ok := ens.Index(name); ok {
-							final[name] = ens.Finals[i][col]
-						}
-					}
-				} else {
-					for col, name := range ens.Names {
-						final[name] = ens.Finals[i][col]
-					}
-				}
-				j.results[i].Final = final
-			}
-
-			ferr := runErr
-			if ferr == nil && ens != nil {
-				ferr = ens.Err()
-			}
-			finish(ferr)
-		}()
-	}
+	}()
 
 	st.mu.Lock()
 	st.jobs[j.id] = j

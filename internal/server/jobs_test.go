@@ -2,7 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -321,4 +324,135 @@ func TestDrainIdle(t *testing.T) {
 	if forced := s.Drain(ctx); forced != 0 {
 		t.Fatalf("idle Drain forced %d", forced)
 	}
+}
+
+// submitAndWait runs one job to a terminal state through a server's handler.
+func submitAndWait(t *testing.T, s *Server, req JobRequest) JobStatus {
+	t.Helper()
+	rec := do(t, s.Handler(), "POST", "/v1/jobs", req)
+	if rec.Code != 202 {
+		t.Fatalf("submit status %d: %s", rec.Code, rec.Body.String())
+	}
+	return pollJob(t, s.Handler(), decode[JobStatus](t, rec).ID)
+}
+
+// TestSweepGoldenBitIdentical pins the sweep determinism contract: point i
+// takes ratio Ratios[i/runs] and seed batch.DeriveSeed(seed, i) whichever
+// worker runs it, so the results are byte-identical at any worker count.
+func TestSweepGoldenBitIdentical(t *testing.T) {
+	req := JobRequest{
+		CRN: clockText(t), TEnd: 60, Fast: 300, Slow: 1,
+		Method: "ssa", Seed: 42, Runs: 4, Ratios: []float64{100, 300, 600},
+	} // 12 points with a live ratio axis: the fast rate genuinely differs per ratio
+	results := func(t *testing.T, workers int) []byte {
+		t.Helper()
+		st := submitAndWait(t, New(Config{Workers: workers, MaxConcurrentSims: workers}), req)
+		if st.State != "done" || st.Completed != 12 || st.Failed != 0 {
+			t.Fatalf("workers=%d: state=%q completed=%d failed=%d: %s",
+				workers, st.State, st.Completed, st.Failed, st.Error)
+		}
+		b, err := json.Marshal(st.Results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	golden := results(t, 1)
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+			if got := results(t, n); string(got) != string(golden) {
+				t.Fatalf("results differ from the one-worker run\n got: %s\nwant: %s", got, golden)
+			}
+		})
+	}
+}
+
+// TestJobCanceledWhileQueued is the regression test for the queued-job
+// lifecycle: a job canceled before its first point ever starts must still
+// reach a terminal state, keep its skip markers (not failures), release the
+// jobs_queued gauge, and be retention-evicted like any finished job.
+func TestJobCanceledWhileQueued(t *testing.T) {
+	s := New(Config{MaxConcurrentSims: 1, Workers: 1, RetainJobs: 1})
+
+	// Occupy the only simulation slot so the next job stays queued.
+	rec := do(t, s.Handler(), "POST", "/v1/jobs", longJob(t))
+	blocker := decode[JobStatus](t, rec).ID
+	waitState(t, s, blocker, "running")
+
+	rec = do(t, s.Handler(), "POST", "/v1/jobs", quickJob())
+	if rec.Code != 202 {
+		t.Fatalf("submit status %d", rec.Code)
+	}
+	queued := decode[JobStatus](t, rec)
+	if queued.State != "queued" {
+		t.Fatalf("second job admitted as %q, want queued", queued.State)
+	}
+	if m := metricsText(t, s); !strings.Contains(m, "jobs_queued 1") {
+		t.Fatalf("/metrics while queued lacks jobs_queued 1:\n%s", m)
+	}
+
+	if rec := do(t, s.Handler(), "DELETE", "/v1/jobs/"+queued.ID, nil); rec.Code != 200 {
+		t.Fatalf("cancel queued job: %d", rec.Code)
+	}
+	st := pollJob(t, s.Handler(), queued.ID)
+	if st.State != "canceled" {
+		t.Fatalf("canceled-while-queued job ended %q, want canceled", st.State)
+	}
+	if st.Completed != 0 || st.Failed != 0 {
+		t.Fatalf("queued job counted work: completed=%d failed=%d", st.Completed, st.Failed)
+	}
+	for _, r := range st.Results {
+		if !strings.HasPrefix(r.Err, "skipped") {
+			t.Fatalf("point %d of a never-started job: %q, want a skipped marker", r.Index, r.Err)
+		}
+	}
+	if m := metricsText(t, s); !strings.Contains(m, "jobs_queued 0") {
+		t.Fatalf("jobs_queued gauge not released:\n%s", m)
+	}
+
+	// Unblock the slot and push more finished jobs through; with RetainJobs 1
+	// the canceled-while-queued job must age out of retention like any other
+	// finished job (the regression left it unretired and unevictable).
+	do(t, s.Handler(), "DELETE", "/v1/jobs/"+blocker, nil)
+	submitAndWait(t, s, quickJob())
+	submitAndWait(t, s, quickJob())
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if rec := do(t, s.Handler(), "GET", "/v1/jobs/"+queued.ID, nil); rec.Code == 404 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("canceled-while-queued job %s never retention-evicted", queued.ID)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitState polls one job until it reports the wanted live state.
+func waitState(t *testing.T, s *Server, id, want string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rec := do(t, s.Handler(), "GET", "/v1/jobs/"+id, nil)
+		if st := decode[JobStatus](t, rec); st.State == want {
+			return
+		} else if st.terminal() {
+			t.Fatalf("job %s went terminal (%q) while waiting for %q", id, st.State, want)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never reached %q", id, want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// metricsText fetches the Prometheus exposition.
+func metricsText(t *testing.T, s *Server) string {
+	t.Helper()
+	rec := do(t, s.Handler(), "GET", "/metrics", nil)
+	if rec.Code != 200 {
+		t.Fatalf("/metrics status %d", rec.Code)
+	}
+	return rec.Body.String()
 }

@@ -52,7 +52,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/alert"
 	"repro/internal/obs/flight"
@@ -138,11 +137,6 @@ type Config struct {
 	// buffer is full loses events (counted, never blocking the publisher).
 	// 0 -> 256.
 	EventBuffer int
-	// Cluster, when non-nil, makes this server a cluster coordinator: workers
-	// register through /cluster/v1/join, and unwatched sweep jobs shard
-	// across them (see internal/cluster). The partition executor endpoint is
-	// mounted on every server regardless — any node can do sweep work.
-	Cluster *cluster.Options
 	// TSDBStep is the sampling cadence of the embedded time-series store
 	// that snapshots the registry for statusz sparklines, /debug/query and
 	// the alert rules; 0 -> 5s, negative disables the store (and with it
@@ -161,13 +155,6 @@ type Config struct {
 	FlightDir string
 	// FlightCapsules bounds the in-memory capsule ring; 0 -> 16.
 	FlightCapsules int
-	// PartitionDelay injects an artificial pause before every partition this
-	// node executes for a coordinator. It exists for scale-model
-	// benchmarking: on a single machine it stands in for the network and
-	// queueing latency a real multi-host deployment has, so the scaling
-	// harness can measure the coordinator's dispatch pipelining honestly.
-	// Leave 0 in production.
-	PartitionDelay time.Duration
 }
 
 // Server is the HTTP simulation service. Create with New, serve Handler().
@@ -183,7 +170,6 @@ type Server struct {
 	jobs     *jobStore
 	mux      *http.ServeMux
 	draining atomic.Bool
-	coord    *cluster.Coordinator // nil unless Config.Cluster set
 
 	tracer    *span.Tracer
 	broker    *obs.Broker
@@ -270,23 +256,12 @@ func New(cfg Config) *Server {
 		s.proc.Start()
 	}
 	s.jobs = newJobStore(s)
-	if cfg.Cluster != nil {
-		s.coord = cluster.New(*cfg.Cluster, cluster.Deps{
-			Local:    s.localPartition,
-			Registry: reg,
-			Spans:    tracer.Store(),
-			Logger:   s.log,
-		})
-	}
 	if cfg.TSDBStep >= 0 {
 		s.db = tsdb.New(reg, tsdb.Options{Step: cfg.TSDBStep, Retention: cfg.TSDBRetention})
-		if s.coord != nil {
-			s.db.AddSource(s.coord.TSDBSource())
-		}
 		s.recorder = flight.New(flight.Options{
 			Broker: s.broker, Spans: tracer.Store(), DB: s.db,
 			Dir: cfg.FlightDir, MaxCapsules: cfg.FlightCapsules,
-			Extra: []string{"proc_*", "cluster_worker_*"},
+			Extra: []string{"proc_*"},
 		})
 		rules := cfg.Rules
 		if rules == nil {
@@ -320,13 +295,6 @@ func New(cfg Config) *Server {
 	s.route("GET /debug/flightz/{id}", s.handleFlightGet)
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /readyz", s.handleReadyz)
-	s.route("POST /cluster/v1/partition", s.handlePartition)
-	if s.coord != nil {
-		s.route("POST /cluster/v1/join", s.handleClusterJoin)
-		s.route("POST /cluster/v1/heartbeat", s.handleClusterHeartbeat)
-		s.route("POST /cluster/v1/leave", s.handleClusterLeave)
-		s.route("GET /cluster/v1/workers", s.handleClusterWorkers)
-	}
 	return s
 }
 
@@ -345,10 +313,6 @@ func (s *Server) Tracer() *span.Tracer { return s.tracer }
 
 // Broker returns the server's SSE event broker.
 func (s *Server) Broker() *obs.Broker { return s.broker }
-
-// Coordinator returns the cluster coordinator, or nil when this server was
-// not built with Config.Cluster.
-func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
 
 // TSDB returns the embedded time-series store, or nil when disabled.
 func (s *Server) TSDB() *tsdb.DB { return s.db }
@@ -428,11 +392,6 @@ func (s *Server) releaseSim() {
 // handleMetrics serves the registry in the Prometheus text exposition
 // format, refreshing the point-in-time gauges first.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Membership expiry is lazy (re-evaluated on access), so force a pass
-	// before exposing cluster_workers{state=}: without it a scrape of an
-	// otherwise idle coordinator reports the gauges as of the last
-	// membership access, hiding an already-expired worker.
-	s.coord.RefreshMembership()
 	s.reg.Gauge(obs.Label("cache_entries", "cache", "network")).Set(float64(s.netCache.len()))
 	s.reg.Gauge(obs.Label("cache_entries", "cache", "response")).Set(float64(s.resCache.len()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -278,7 +278,7 @@ func TestStreamSlowSubscriberDrops(t *testing.T) {
 
 	alertEv := func() obs.StreamEvent {
 		return obs.StreamEvent{Kind: "alert", Time: time.Now(),
-			Data: map[string]any{"rule": "worker-absent", "state": "firing"}}
+			Data: map[string]any{"rule": "clock-alert-burst", "state": "firing"}}
 	}
 
 	// publishUntil keeps publishing until the reader delivers a frame (the
@@ -383,6 +383,22 @@ func TestClockHealthJobValidation(t *testing.T) {
 	}
 }
 
+// clockHealthJob is a 4-run clock sweep with the clock-health analyzer
+// attached. Threshold 0.4 counts both red and green as occupied through
+// every R→G hand-off (where R+G ≈ 1), so overlap episodes recur across the
+// whole run and a client connecting shortly after submit sees them live.
+func clockHealthJob(t testing.TB) JobRequest {
+	return JobRequest{
+		CRN: clockText(t), TEnd: 150, Fast: 300, Slow: 1, Runs: 4,
+		ClockHealth: &ClockHealthSpec{
+			Phases:    [][]string{{"clk.CR"}, {"clk.CG"}},
+			Names:     []string{"red", "green"},
+			Threshold: 0.4,
+			MaxJitter: -1, // hand-off detection at 0.4 is not a period probe
+		},
+	}
+}
+
 // TestClockHealthJobAlertStream: a job carrying a clock_health spec tuned to
 // trip (threshold so low that both species count as occupied at once) must
 // push alert events over SSE and count them in /metrics.
@@ -391,18 +407,7 @@ func TestClockHealthJobAlertStream(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	// Threshold 0.4 counts both red and green as occupied through every
-	// R→G hand-off (where R+G ≈ 1), so overlap episodes recur across the
-	// whole run and a client connecting shortly after submit sees them live.
-	rec := do(t, s.Handler(), "POST", "/v1/jobs", JobRequest{
-		CRN: clockText(t), TEnd: 150, Fast: 300, Slow: 1, Runs: 4,
-		ClockHealth: &ClockHealthSpec{
-			Phases:    [][]string{{"clk.CR"}, {"clk.CG"}},
-			Names:     []string{"red", "green"},
-			Threshold: 0.4,
-			MaxJitter: -1, // hand-off detection at 0.4 is not a period probe
-		},
-	})
+	rec := do(t, s.Handler(), "POST", "/v1/jobs", clockHealthJob(t))
 	if rec.Code != 202 {
 		t.Fatalf("submit status %d: %s", rec.Code, rec.Body.String())
 	}

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/obs/alert"
 	"repro/internal/obs/proc"
 	"repro/internal/obs/span"
@@ -53,7 +51,6 @@ type statuszData struct {
 	Caches      []statuszCache
 	Jobs        []JobStatus
 	JobStates   map[string]int
-	Cluster     *statuszCluster
 	RuleAlerts  []alert.RuleStatus
 	Capsules    []flightInfoLink
 	Alerts      []statuszKV
@@ -77,23 +74,6 @@ type statuszCache struct {
 	Hits    float64
 	Misses  float64
 	HitRate string
-}
-
-// statuszCluster is the coordinator panel: the live worker table and the
-// partition map of every tracked job. Present only when this node was built
-// with Config.Cluster.
-type statuszCluster struct {
-	Workers    []statuszWorker
-	Partitions []cluster.PartitionStatus
-}
-
-// statuszWorker decorates a worker's membership snapshot with history from
-// the per-worker tsdb series, which survives membership churn: the
-// heartbeat-age trajectory and the lifetime point throughput.
-type statuszWorker struct {
-	cluster.WorkerStatus
-	BeatSpark   string // cluster_worker_beat_age_seconds history
-	PointsSpark string // per-step increments of cluster_worker_points_total
 }
 
 type statuszKV struct {
@@ -163,19 +143,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		jobs = jobs[:10]
 	}
 	d.Jobs = jobs
-
-	if s.coord != nil {
-		cl := &statuszCluster{Partitions: s.coord.Partitions()}
-		for _, w := range s.coord.Workers() {
-			sw := statuszWorker{WorkerStatus: w}
-			sw.BeatSpark = sparkline(pointValues(s.tsdbRange(
-				obs.Label("cluster_worker_beat_age_seconds", "worker", w.ID))))
-			sw.PointsSpark = sparkline(pointDeltas(s.tsdbRange(
-				obs.Label("cluster_worker_points_total", "worker", w.ID))))
-			cl.Workers = append(cl.Workers, sw)
-		}
-		d.Cluster = cl
-	}
 
 	d.RuleAlerts = s.engine.Status()
 	for _, info := range s.recorder.List() {
@@ -367,16 +334,6 @@ th { color: #555; font-weight: normal; }
 {{range .Jobs}}<tr><td>{{.ID}}</td><td>{{.State}}</td><td>{{.Completed}}+{{.Failed}}/{{.Total}}</td><td>{{.Created.Format "15:04:05"}}</td></tr>
 {{end}}</table>{{end}}
 
-{{with .Cluster}}<h2>Cluster</h2>
-{{if .Workers}}<table>
-<tr><th>worker</th><th>addr</th><th>state</th><th>last beat</th><th>beat history</th><th>partitions</th><th>points</th><th>throughput</th><th>failures</th></tr>
-{{range .Workers}}<tr><td>{{.ID}}</td><td>{{.Addr}}</td><td>{{if eq .State "alive"}}<span class="ok">{{.State}}</span>{{else}}<span class="bad">{{.State}}</span>{{end}}</td><td>{{printf "%.1fs ago" .AgeSeconds}}</td><td class="spark">{{.BeatSpark}}</td><td>{{.Partitions}}</td><td>{{.Points}}</td><td class="spark">{{.PointsSpark}}</td><td>{{if .Failures}}<span class="bad">{{.Failures}}</span>{{else}}0{{end}}</td></tr>
-{{end}}</table>{{else}}<p class="muted">coordinator mode — no workers joined yet</p>{{end}}
-{{if .Partitions}}<table>
-<tr><th>job</th><th>partition</th><th>window</th><th>state</th><th>worker</th><th>attempts</th></tr>
-{{range .Partitions}}<tr><td>{{.Job}}</td><td>{{.Part}}</td><td>[{{.Lo}},{{.Hi}})</td><td>{{if eq .State "failed"}}<span class="bad">{{.State}}</span>{{else if eq .State "done"}}<span class="ok">{{.State}}</span>{{else}}{{.State}}{{end}}</td><td>{{if .Worker}}{{.Worker}}{{else}}<span class="muted">local</span>{{end}}</td><td>{{.Attempts}}</td></tr>
-{{end}}</table>{{end}}
-{{end}}
 <h2>Alerts</h2>
 {{if .RuleAlerts}}<table>
 <tr><th>rule</th><th>severity</th><th>state</th><th>since</th><th>value</th><th>fires</th></tr>

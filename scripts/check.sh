@@ -43,10 +43,6 @@ go test -race -count=2 -timeout 10m ./internal/sim/ensemble/
 go test -race -count=2 -timeout 15m -run 'Ensemble|RunMany' ./internal/sim/
 go test -race -count=2 -timeout 10m ./internal/batch/
 go test -race -count=2 -timeout 10m ./internal/server/
-# The cluster coordinator moves one job's chunk pool between a scheduling
-# loop, per-dispatch goroutines and heartbeat-driven membership expiry;
-# doubled -race covers the work-stealing and retry interleavings.
-go test -race -count=2 -timeout 10m ./internal/cluster/
 go test -race -count=2 -timeout 10m ./internal/obs/span/
 # The proc collector mixes an on-demand Sample path with a background ticker
 # writing the same registry handles; doubled -race shakes out ordering bugs.
@@ -70,12 +66,6 @@ go test -race -timeout 10m -run 'SSE|Stream|Events|Tracez' ./internal/server/
 go test -race -timeout 10m -run 'Statusz|DebugHandler' ./internal/server/
 go test -race -timeout 10m -run 'EndToEnd|Debug' ./cmd/crnserved/
 
-# Cluster end-to-end smoke: a coordinator plus two real worker daemons on
-# loopback run a sweep whose merged results must equal the single-node run
-# byte for byte (TestClusterEndToEnd), and the golden topology matrix in the
-# server package re-proves the contract with an injected worker death.
-go test -race -timeout 10m -run 'TestClusterEndToEnd' ./cmd/crnserved/
-go test -race -timeout 10m -run 'TestClusterGolden' ./internal/server/
 # Loadgen smoke: the traffic generator against an in-process server.
 go test -race -timeout 10m ./cmd/loadgen/
 
@@ -95,10 +85,11 @@ if /tmp/crnserved-check -check-rules -rules "$RULES_TMP/bad.json"; then
 fi
 rm -rf "$RULES_TMP" /tmp/crnserved-check
 
-# Flight-recorder smoke: worker death mid-sweep must produce the firing
-# worker-absent alert over SSE and a capsule holding the heartbeat series
-# and the retry span tree — the whole observability chain in one test.
-go test -race -timeout 10m -run 'TestWorkerDeathAlertAndFlightCapsule' ./internal/server/
+# Flight-recorder smoke: a clock-health sweep must walk the
+# clock-alert-burst rule through pending, firing and resolved over SSE and
+# leave a capsule holding the clock_alerts_total series and the job's
+# phase_overlap events — the whole observability chain in one test.
+go test -race -timeout 10m -run 'TestClockAlertBurstAndFlightCapsule' ./internal/server/
 
 # Benchmark smoke: one iteration of every benchmark. Catches bit-rot in the
 # benchmark code (and in the scripts/bench.sh regression set) without paying
