@@ -149,6 +149,38 @@ func BenchmarkSSAClock(b *testing.B) {
 	}
 }
 
+// BenchmarkSSAClockInstrumented is BenchmarkSSAClock with the observability
+// stack of a served /v1/simulate request attached — a RegistryObserver plus
+// the clock's edge and phase watchers. Those carry per-run state, so the
+// run is a hooked one-lane block: the engine calls the observer after every
+// firing and the watchers after every sample. The delta against
+// BenchmarkSSAClock is the cost of the hooks.
+func BenchmarkSSAClockInstrumented(b *testing.B) {
+	n := crn.NewNetwork()
+	s := phases.NewScheme(n, "ph")
+	clk, err := clock.Add(s, "clk", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Build(); err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := sim.Config{
+			Method: sim.SSA, Rates: sim.Rates{Fast: 300, Slow: 1},
+			TEnd: 20, Unit: 100, Seed: int64(i + 1),
+			Obs:      obs.NewRegistryObserver(reg),
+			Watchers: []obs.Watcher{clk.Watch(), clk.WatchPhases()},
+		}
+		if _, err := sim.Run(context.Background(), n, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // buildRingNet constructs a clocked k-register ring shifter with core's
 // gated-transfer machinery. At k=8 the finalized network has 458 reactions —
 // the circuit class the SSA propensity index is sized for (the paper's
@@ -278,9 +310,10 @@ func BenchmarkTSDBPoll(b *testing.B) {
 	}
 }
 
-// BenchmarkSSARingSweepPerRun is the scalar reference for the ensemble gate:
-// the same 16-run ring sweep executed as sequential scalar runs with the
-// same derived seeds, reported per run like the ensemble benchmarks.
+// BenchmarkSSARingSweepPerRun is the one-run-at-a-time reference for the
+// ensemble gate: the same 16-run ring sweep executed as sequential sim.Run
+// calls (one-lane blocks, each compiling the network) with the same derived
+// seeds, reported per run like the ensemble benchmarks.
 func BenchmarkSSARingSweepPerRun(b *testing.B) {
 	n := buildRingNet(b, 8)
 	const runs = 16
@@ -302,7 +335,7 @@ func BenchmarkSSARingSweepPerRun(b *testing.B) {
 
 // benchBatchEnsemble measures an SSA ensemble of the clock fanned over a
 // batch pool with the given worker count; the 1-vs-NumCPU pair exposes the
-// pool's speedup (or, on a single-core box, its overhead).
+// pool's speedup on a multi-core host (on one core, its overhead).
 func benchBatchEnsemble(b *testing.B, workers int) {
 	n := buildClockNet(b)
 	b.ReportAllocs()

@@ -249,12 +249,14 @@ func (n *Network) Validate() error {
 		if len(r.Reactants) == 0 && len(r.Products) == 0 {
 			return fmt.Errorf("crn: reaction %d (%s): empty", i, r.Name)
 		}
-		for _, t := range append(append([]Term{}, r.Reactants...), r.Products...) {
-			if t.Coeff <= 0 {
-				return fmt.Errorf("crn: reaction %d (%s): non-positive coefficient", i, r.Name)
-			}
-			if t.Species < 0 || t.Species >= len(n.species) {
-				return fmt.Errorf("crn: reaction %d (%s): species index %d out of range", i, r.Name, t.Species)
+		for _, terms := range [2][]Term{r.Reactants, r.Products} {
+			for _, t := range terms {
+				if t.Coeff <= 0 {
+					return fmt.Errorf("crn: reaction %d (%s): non-positive coefficient", i, r.Name)
+				}
+				if t.Species < 0 || t.Species >= len(n.species) {
+					return fmt.Errorf("crn: reaction %d (%s): species index %d out of range", i, r.Name, t.Species)
+				}
 			}
 		}
 	}

@@ -165,6 +165,24 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestValidateAllocs pins Validate at zero allocations: sim.Run and
+// sim.RunMany validate the network on every call, so a per-reaction copy
+// of the terms would dominate a short run's allocation count.
+func TestValidateAllocs(t *testing.T) {
+	n := NewNetwork()
+	n.R("bind", map[string]int{"A": 1, "B": 1}, map[string]int{"C": 1}, Fast)
+	n.R("split", map[string]int{"C": 1}, map[string]int{"A": 1, "B": 1}, Slow)
+	n.R("dimer", map[string]int{"A": 2}, map[string]int{"D": 1}, Slow)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := n.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Validate: %.0f allocs, want 0", allocs)
+	}
+}
+
 func TestScaleMult(t *testing.T) {
 	n := NewNetwork()
 	n.R("a", map[string]int{"X": 1}, map[string]int{"Y": 1}, Fast)

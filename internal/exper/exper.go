@@ -34,7 +34,7 @@ type Config struct {
 	Workers int
 	// Lanes is the SoA block width for experiments that route their runs
 	// through sim.RunMany; 0 selects the engine default. Tables are
-	// identical for any width — lanes are bit-identical to scalar runs.
+	// identical for any width — a lane's trace depends on its seed alone.
 	Lanes int
 	// Obs, when non-nil, receives instrumentation events from the
 	// simulations an experiment runs sequentially (references, scalar

@@ -80,8 +80,8 @@ type KernelStats struct {
 	FenwickSelects  uint64 // SSA firings selected via the Fenwick descent
 	LinearSelects   uint64 // SSA firings selected via the linear scan
 	ExactRecomputes uint64 // full propensity rebuilds
-	TightLoops      uint64 // entries into the branch-free tight SSA loop
-	FullLoops       uint64 // entries into the event/observer-aware SSA loop
+	TightLoops      uint64 // SSA runs without hooks (the tight loop)
+	FullLoops       uint64 // SSA runs with events, an observer or watchers
 	LeapRejections  uint64 // rolled-back tau-leap steps
 	EnsembleBlocks  uint64 // SoA ensemble blocks executed
 	EnsemblePasses  uint64 // macro passes over ensemble lanes

@@ -21,9 +21,9 @@ import (
 // cross product of Ratios (fast/slow rate ratios; empty means the single
 // Fast/Slow pair) and Runs replicates (default 1), each replicate receiving
 // a deterministic seed derived from Seed — the whole sweep is reproducible
-// from the request alone. Stochastic sweeps without watchers run on the SoA
-// ensemble engine (several points per kernel pass); watched or deterministic
-// points run through the scalar backends on the batch pool.
+// from the request alone. Stochastic sweeps without watchers share SoA
+// ensemble blocks (several points per kernel pass); watched or deterministic
+// points run one at a time through sim.Run on the batch pool.
 type JobRequest struct {
 	CRN string `json:"crn"`
 
@@ -42,13 +42,13 @@ type JobRequest struct {
 	Record []string `json:"record,omitempty"`
 
 	// TimeoutSeconds bounds each unit of sweep work (an ensemble block or a
-	// scalar point), capped by the server ceiling.
+	// single point), capped by the server ceiling.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 
 	// Watch attaches the default semantic watchers (clock edges, dominant
 	// phase) to every sweep point; their events stream live over
 	// GET /v1/jobs/{id}/events and /v1/stream. Watched points carry per-run
-	// observers and therefore run scalar, off the ensemble fast path.
+	// observers and therefore run one lane wide, outside shared blocks.
 	Watch bool `json:"watch,omitempty"`
 	// ClockHealth, when set, attaches the clock-health analyzer to every
 	// sweep point: phase overlap, indicator leakage, period jitter and duty
@@ -227,7 +227,7 @@ func (st *jobStore) get(id string) (*job, bool) {
 // submit validates the sweep, launches it through sim.RunMany and registers
 // the job. parent, when non-nil, is the submitting request's span: the job
 // runs under a child span of it, so the trace of the POST shows the whole
-// asynchronous fan-out — per-work-item batch.job spans for scalar points,
+// asynchronous fan-out — per-work-item batch.job spans for single points,
 // sim.ensemble block spans for laned ones.
 func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	s := st.s
@@ -318,7 +318,7 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	st.mu.Unlock()
 
 	// The job span ties the asynchronous fan-out into the submit request's
-	// trace: every scalar point's batch.job[i] span and every ensemble
+	// trace: every single point's batch.job[i] span and every ensemble
 	// block's sim.ensemble span become descendants of this one, and the
 	// engine stamps ensemble.* occupancy attributes on it at completion.
 	jobSpan := parent.Child("job " + j.id)
@@ -365,7 +365,8 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 			}
 			if watched {
 				// Watchers carry per-run state and their events feed the SSE
-				// broker; both force the point onto the scalar backends.
+				// broker; both keep the point out of shared blocks, so it
+				// runs alone as a hooked one-lane block.
 				cfg.Obs = &obs.BrokerObserver{B: s.broker, Job: j.id}
 				if req.Watch {
 					cfg.Watchers = sim.AutoWatchers(net)

@@ -2,10 +2,10 @@ package ensemble
 
 // White-box tests of the SoA block: the zero-allocation budget of the
 // per-lane inner loop (the finals-only sweep fast path must not touch the
-// allocator once the block is laid out) and the block-construction checks.
-// The scalar-vs-lane bit-identity contract is pinned one layer up, in
-// internal/sim's TestEnsembleBitIdentical, where the scalar reference
-// lives.
+// allocator once the block is laid out), the block-construction checks and
+// hooked blocks. The bit-identity contract and the firing budget are pinned
+// one layer up, in internal/sim's TestEnsembleBitIdentical (against golden
+// trajectories) and TestRunBudgetExhausted.
 
 import (
 	"context"
@@ -171,6 +171,79 @@ func TestEnsembleCancellation(t *testing.T) {
 		}
 		if res.Finals[i] != nil {
 			t.Fatalf("interrupted lane %d reported finals", i)
+		}
+	}
+}
+
+// recHooks records what a hooked block reports; when dump is set it empties
+// S0 at the first firing that leaves S0 below 3 units, like an injection
+// event.
+type recHooks struct {
+	fired, sampled int
+	lastT          float64
+	backwards      bool
+	dump           bool
+	dumped         int
+}
+
+func (h *recHooks) Fired(t float64, _ int, counts []float64) bool {
+	if t < h.lastT {
+		h.backwards = true
+	}
+	h.lastT = t
+	h.fired++
+	if h.dump && h.dumped == 0 && counts[0] < 3000 {
+		h.dumped++
+		counts[0] = 0
+		return true
+	}
+	return false
+}
+
+func (h *recHooks) Sampled(t, dt, total float64, conc []float64) { h.sampled++ }
+
+// TestEnsembleHooks checks a hooked block: one Fired call per firing in
+// time order, one Sampled call per trace row between t=0 and the horizon
+// row, the same trajectory as the tight loop, and an exact recompute after
+// a hook rewrites the counts.
+func TestEnsembleHooks(t *testing.T) {
+	cfg := testConfig(t, chainNet(t, 10), 1, false)
+	cfg.TEnd, cfg.SampleEvery = 2, 0.01
+	tight, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &recHooks{}
+	cfg.Hooks = h
+	hooked, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.fired != hooked.Firings[0] || h.fired == 0 || h.backwards {
+		t.Errorf("Fired %d times (backwards %v) for %d firings", h.fired, h.backwards, hooked.Firings[0])
+	}
+	if rows := len(hooked.Traces[0].T); h.sampled < rows-2 || h.sampled > rows-1 {
+		t.Errorf("Sampled %d times for %d rows", h.sampled, rows)
+	}
+	if hooked.Firings[0] != tight.Firings[0] || hooked.Finals[0][0] != tight.Finals[0][0] {
+		t.Errorf("hooked run diverged: %d firings, S0 %v; unhooked %d, %v",
+			hooked.Firings[0], hooked.Finals[0][0], tight.Firings[0], tight.Finals[0][0])
+	}
+
+	var stats kernel.Stats
+	cfg.Stats = &stats
+	cfg.Hooks = &recHooks{dump: true}
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if stats.ExactRecomputes != 2 {
+		t.Errorf("%d exact recomputes, want 2 (start and after the rewrite)", stats.ExactRecomputes)
+	}
+
+	for _, bad := range []Config{testConfig(t, chainNet(t, 4), 2, false), testConfig(t, chainNet(t, 4), 1, true)} {
+		bad.Hooks = &recHooks{}
+		if _, err := Run(context.Background(), bad); err == nil {
+			t.Errorf("hooks accepted on a %d-lane block, finals-only %v", len(bad.Seeds), bad.FinalsOnly)
 		}
 	}
 }

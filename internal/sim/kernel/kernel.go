@@ -18,8 +18,8 @@
 // The package also provides the Fenwick-tree propensity index (see tree.go)
 // that turns Gillespie reaction selection from an O(R) scan into an
 // O(log R) descent, and the SplitMix64 RNG (see rng.go) whose per-lane
-// streams make the ensemble engine's traces bit-identical with the scalar
-// backends'.
+// streams make the ensemble engine's traces bit-identical at every block
+// width.
 package kernel
 
 import (
@@ -330,8 +330,8 @@ func (c *Compiled) Propensity(i int, kscaled, counts []float64) float64 {
 // PropensityStrided is Propensity over lane-strided counts: species sp of
 // the lane lives at counts[sp*stride+lane]. The arithmetic is identical to
 // Propensity's — same operations in the same order — which is what keeps
-// ensemble lanes bit-identical with scalar runs. stride=1, lane=0 recovers
-// the scalar layout.
+// ensemble lanes bit-identical at every block width. stride=1, lane=0
+// recovers the contiguous layout.
 func (c *Compiled) PropensityStrided(i int, kscaled, counts []float64, stride, lane int) float64 {
 	switch c.Form[i] {
 	case FormConst:
@@ -442,22 +442,10 @@ func (c *Compiled) Deriv(y, dydt []float64) {
 	}
 }
 
-// ApplyDelta applies one firing of reaction i to the molecule-count vector,
+// ApplyDeltaStrided applies one firing of reaction i to the molecule counts
+// of one lane, addressed as counts[sp*stride+lane] (see PropensityStrided),
 // clamping counts at zero (which cannot trigger with correct propensities;
 // it guards event-injected states).
-func (s *Structure) ApplyDelta(i int, counts []float64) {
-	for j := s.DeltaStart[i]; j < s.DeltaStart[i+1]; j++ {
-		sp := s.DeltaSpec[j]
-		counts[sp] += s.DeltaVal[j]
-		if counts[sp] < 0 {
-			counts[sp] = 0
-		}
-	}
-}
-
-// ApplyDeltaStrided is ApplyDelta over lane-strided counts (see
-// PropensityStrided); same arithmetic, lane layout addressed as
-// counts[sp*stride+lane].
 func (s *Structure) ApplyDeltaStrided(i int, counts []float64, stride, lane int) {
 	for j := s.DeltaStart[i]; j < s.DeltaStart[i+1]; j++ {
 		at := int(s.DeltaSpec[j])*stride + lane

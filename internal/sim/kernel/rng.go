@@ -10,11 +10,11 @@ import "math"
 // single uint64 and a step is three xor-shift-multiply lines, so an ensemble
 // block can hold one independent stream per lane by value — no pointer
 // chasing, no heap allocation, trivially copyable. Second, and decisively
-// for the ensemble engine: the scalar backends and the lane engine draw from
-// byte-identical streams, which is what makes same-seed scalar-vs-ensemble
-// traces bit-identical (pinned by TestEnsembleBitIdentical). math/rand's
-// generator state could not be embedded per lane without an allocation and
-// an interface call per draw.
+// for the ensemble engine: a lane's stream is a pure function of its seed,
+// so a run's trace is bit-identical at every block width (pinned against
+// golden digests by TestEnsembleBitIdentical). math/rand's generator state
+// could not be embedded per lane without an allocation and an interface
+// call per draw.
 //
 // The zero value is a valid stream (the seed-0 stream); NewRNG(s) and
 // RNG{}.Seed(s) are equivalent.
@@ -60,8 +60,8 @@ func (r *RNG) Float64() float64 {
 // ExpFloat64 returns an Exp(1) draw by exact inversion, -ln(1-U). Inversion
 // costs one log where a ziggurat costs a table lookup, but it consumes
 // exactly one uniform per draw unconditionally — a fixed consumption
-// schedule is what lets the ensemble engine's per-lane streams replay the
-// scalar backend's draws bit for bit.
+// schedule is what keeps a lane's draws independent of how its block is
+// scheduled.
 func (r *RNG) ExpFloat64() float64 {
 	return -math.Log(1 - r.Float64())
 }

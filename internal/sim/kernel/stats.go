@@ -2,7 +2,7 @@ package kernel
 
 // Stats counts kernel hot-path decisions during one simulation run: which
 // selector the SSA used and how often, how many exact propensity recomputes
-// the drift guard and event injections forced, which SSA loop variant ran,
+// the drift guard and event injections forced, which SSA pass ran,
 // and how many tau-leap steps were rejected and retried. The fields are
 // plain uint64s incremented by a single owner goroutine — a field increment
 // is the entire hot-path cost, so counting stays 0-alloc and branch-free
@@ -16,8 +16,8 @@ type Stats struct {
 	FenwickSelects  uint64 // SSA firings selected via the O(log R) Fenwick descent
 	LinearSelects   uint64 // SSA firings selected via the O(R) accumulation scan
 	ExactRecomputes uint64 // full propensity rebuilds (drift guard, events, resyncs)
-	TightLoops      uint64 // SSA runs that entered the branch-free tight loop
-	FullLoops       uint64 // SSA runs that entered the event/observer-aware full loop
+	TightLoops      uint64 // single SSA runs without hooks (the tight loop)
+	FullLoops       uint64 // single SSA runs with hooks: events, observer or watchers
 	LeapRejections  uint64 // tau-leap steps rolled back for driving counts negative
 
 	// Ensemble lane-occupancy counters, incremented by the SoA lane engine

@@ -2,7 +2,7 @@ package sim
 
 // Tests for the kernel hot-path counters (Config.Kernel): the selector
 // invariant that both selection modes perform identical stochastic work,
-// the tight-vs-full SSA loop accounting, and the surfacing of counters
+// the tight-vs-hooked SSA run accounting, and the surfacing of counters
 // through the observer pipeline into a metrics registry.
 
 import (
@@ -11,18 +11,19 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/sim/ensemble"
 	"repro/internal/sim/kernel"
 )
 
-// runSSAStats runs the chain network under SSA with a caller-owned stats
-// block and returns it.
-func runSSAStats(t *testing.T, seed int64, mode int, o obs.Observer) kernel.Stats {
+// runSSAStats runs the chain network (~90 reactions: the Fenwick index)
+// under SSA with a caller-owned stats block and returns it.
+func runSSAStats(t *testing.T, seed int64, o obs.Observer) kernel.Stats {
 	t.Helper()
 	n := chainNet(t, 40)
 	var ks kernel.Stats
 	_, err := Run(context.Background(), n, Config{
 		Method: SSA, Rates: Rates{Fast: 50, Slow: 1},
-		TEnd: 5, Unit: 40, Seed: seed, selMode: mode,
+		TEnd: 5, Unit: 40, Seed: seed,
 		Obs: o, Kernel: &ks,
 	})
 	if err != nil {
@@ -37,9 +38,10 @@ func runSSAStats(t *testing.T, seed int64, mode int, o obs.Observer) kernel.Stat
 // exact-recompute drift schedule is identical. This is the counter-level
 // companion to TestSSASelectorByteIdentical.
 func TestKernelStatsSelectorInvariant(t *testing.T) {
+	n := chainNet(t, 40)
 	for _, seed := range []int64{1, 7, 42} {
-		f := runSSAStats(t, seed, selFenwick, nil)
-		l := runSSAStats(t, seed, selLinear, nil)
+		_, f := runForced(t, n, seed, 40, ensemble.SelFenwick)
+		_, l := runForced(t, n, seed, 40, ensemble.SelLinear)
 		if f.FenwickSelects == 0 {
 			t.Fatalf("seed %d: fenwick run counted no selections", seed)
 		}
@@ -58,24 +60,24 @@ func TestKernelStatsSelectorInvariant(t *testing.T) {
 	}
 }
 
-// TestKernelStatsLoopAccounting pins which SSA loop each configuration
-// takes: no observer and no watchers means the tight loop, an observer
-// forces the full loop. Config.Kernel itself must not disqualify the tight
-// loop — it is the only way to observe tight-loop runs.
+// TestKernelStatsLoopAccounting pins how each SSA configuration is
+// counted: no observer and no watchers means the tight loop, an observer
+// hooks the run (FullLoops). Config.Kernel itself must not hook the run —
+// it is the only way to observe tight-loop runs.
 func TestKernelStatsLoopAccounting(t *testing.T) {
-	tight := runSSAStats(t, 1, selFenwick, nil)
+	tight := runSSAStats(t, 1, nil)
 	if tight.TightLoops != 1 || tight.FullLoops != 0 {
 		t.Errorf("unobserved run: tight=%d full=%d, want 1/0", tight.TightLoops, tight.FullLoops)
 	}
 	reg := obs.NewRegistry()
-	full := runSSAStats(t, 1, selFenwick, obs.NewRegistryObserver(reg))
+	full := runSSAStats(t, 1, obs.NewRegistryObserver(reg))
 	if full.TightLoops != 0 || full.FullLoops != 1 {
 		t.Errorf("observed run: tight=%d full=%d, want 0/1", full.TightLoops, full.FullLoops)
 	}
-	// Same seed, same stochastic process: the loops differ only in
-	// bookkeeping, never in selections.
+	// Same seed, same stochastic process: hooks change bookkeeping only,
+	// never selections.
 	if tight.FenwickSelects != full.FenwickSelects {
-		t.Errorf("tight loop selected %d times, full loop %d", tight.FenwickSelects, full.FenwickSelects)
+		t.Errorf("tight loop selected %d times, hooked run %d", tight.FenwickSelects, full.FenwickSelects)
 	}
 }
 
@@ -89,7 +91,7 @@ func TestKernelStatsSweepAccumulation(t *testing.T) {
 		before := ks.Selects()
 		_, err := Run(context.Background(), n, Config{
 			Method: SSA, Rates: Rates{Fast: 50, Slow: 1},
-			TEnd: 5, Unit: 40, Seed: 9, selMode: selFenwick, Kernel: &ks,
+			TEnd: 5, Unit: 40, Seed: 9, Kernel: &ks,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +116,7 @@ func TestKernelStatsSweepAccumulation(t *testing.T) {
 // families in Prometheus exposition.
 func TestKernelStatsReachRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	runSSAStats(t, 5, selFenwick, obs.NewRegistryObserver(reg))
+	runSSAStats(t, 5, obs.NewRegistryObserver(reg))
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {
 		t.Fatal(err)

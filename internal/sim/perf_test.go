@@ -1,9 +1,8 @@
 package sim
 
-// Tests for the PR5 performance work: selector equivalence between the
-// Fenwick index and the retained linear-scan reference, and the
-// allocation budgets of the hot paths (zero allocations per Deriv
-// evaluation and per SSA firing).
+// Tests for the hot paths: selector equivalence between the Fenwick index
+// and the linear scan, and the allocation budgets (zero allocations per
+// Deriv evaluation and per SSA firing).
 
 import (
 	"context"
@@ -13,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/crn"
+	"repro/internal/sim/ensemble"
 	"repro/internal/sim/kernel"
 	"repro/internal/trace"
 )
@@ -48,29 +48,45 @@ func chainNet(tb testing.TB, m int) *crn.Network {
 	return n
 }
 
-func runSSAWithMode(t *testing.T, n *crn.Network, seed int64, mode int) *trace.Trace {
+// runForced runs one SSA trajectory of the chain fixture's configuration
+// (TEnd 5, the given Unit) as a one-lane ensemble block with the selector
+// forced, since sim.Config has no selector knob, and returns the trace and
+// the block's counters.
+func runForced(t *testing.T, n *crn.Network, seed int64, unit float64, sel int) (*trace.Trace, kernel.Stats) {
 	t.Helper()
-	tr, err := Run(context.Background(), n, Config{
-		Method: SSA, Rates: Rates{Fast: 50, Slow: 1},
-		TEnd: 5, Unit: 40, Seed: seed, selMode: mode,
+	var ks kernel.Stats
+	res, err := ensemble.Run(context.Background(), ensemble.Config{
+		K:           kernel.Compile(n, Rates{Fast: 50, Slow: 1}.Of),
+		Names:       n.SpeciesNames(),
+		Init:        n.Init(),
+		Unit:        unit,
+		TEnd:        5,
+		SampleEvery: 5.0 / 1000,
+		MaxFirings:  50_000_000,
+		Seeds:       []int64{seed},
+		Sel:         sel,
+		Stats:       &ks,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	if err := res.Errs[0]; err != nil {
+		t.Fatal(err)
+	}
+	return res.Traces[0], ks
 }
 
 // TestSSASelectorByteIdentical pins the Fenwick selection index against the
-// retained linear-scan reference: same seed, same network, the two selector
-// modes must produce bit-for-bit identical traces. Both modes share every
-// piece of floating-point bookkeeping (propensities, running total, drift
+// linear-scan selector: same seed, same network, the two selector modes
+// must produce bit-for-bit identical traces. Both modes share every piece
+// of floating-point bookkeeping (propensities, running total, drift
 // recomputes) by construction, so any divergence here means the index
 // changed the stochastic process rather than just the selection cost.
 func TestSSASelectorByteIdentical(t *testing.T) {
 	n := chainNet(t, 40) // ~90 reactions: above the auto crossover
 	for _, seed := range []int64{1, 7, 42} {
-		trF := runSSAWithMode(t, n, seed, selFenwick)
-		trL := runSSAWithMode(t, n, seed, selLinear)
+		trF, _ := runForced(t, n, seed, 40, ensemble.SelFenwick)
+		trL, _ := runForced(t, n, seed, 40, ensemble.SelLinear)
 		if len(trF.T) != len(trL.T) {
 			t.Fatalf("seed %d: %d vs %d samples", seed, len(trF.T), len(trL.T))
 		}
@@ -90,38 +106,40 @@ func TestSSASelectorByteIdentical(t *testing.T) {
 }
 
 // TestSSAFiringAllocs asserts the zero-allocation budget of the SSA inner
-// loop: once the engine is built, drawing waiting times and firing
-// reactions allocates nothing, in both selector modes.
+// loop, in both selector modes and with hooks attached: a run's allocation
+// count does not grow with its firing count. Raising Unit tenfold fires
+// ten times as often and leaves the samples, so the trace, unchanged.
 func TestSSAFiringAllocs(t *testing.T) {
 	n := chainNet(t, 40)
-	for _, mode := range []int{selFenwick, selLinear} {
-		cfg := Config{Rates: Rates{Fast: 50, Slow: 1}, Unit: 1000, Seed: 3, selMode: mode}
-		counts := make([]float64, n.NumSpecies())
-		for i, c := range n.Init() {
-			counts[i] = math.Round(c * cfg.Unit)
+	for _, sel := range []int{ensemble.SelFenwick, ensemble.SelLinear} {
+		allocs := func(unit float64) float64 {
+			return testing.AllocsPerRun(20, func() { runForced(t, n, 3, unit, sel) })
 		}
-		var ks kernel.Stats
-		eng := newSSAEngine(n, cfg, counts, &ks)
-		allocs := testing.AllocsPerRun(200, func() {
-			if dt := eng.nextDT(); math.IsInf(dt, 1) {
-				t.Fatal("network exhausted mid-test")
-			}
-			eng.fire()
-		})
-		if allocs != 0 {
-			t.Errorf("mode %d: %.1f allocs per firing, want 0", mode, allocs)
+		if few, many := allocs(40), allocs(400); many != few {
+			t.Errorf("sel %d: %.0f allocs at Unit 40, %.0f at Unit 400: firings allocate", sel, few, many)
 		}
-		// Counter bookkeeping must not cost allocations either, and every
-		// firing must have been tallied against exactly one selector mode.
-		if got := ks.Selects(); got < 200 {
-			t.Errorf("mode %d: %d selects counted, want >= 200", mode, got)
+		// Every firing is tallied against exactly one selector mode.
+		_, ks := runForced(t, n, 3, 400, sel)
+		if ks.Selects() < 10000 {
+			t.Errorf("sel %d: %d selects counted, want >= 10000", sel, ks.Selects())
 		}
-		if mode == selFenwick && ks.LinearSelects != 0 {
+		if sel == ensemble.SelFenwick && ks.LinearSelects != 0 {
 			t.Errorf("fenwick mode tallied %d linear selects", ks.LinearSelects)
 		}
-		if mode == selLinear && ks.FenwickSelects != 0 {
+		if sel == ensemble.SelLinear && ks.FenwickSelects != 0 {
 			t.Errorf("linear mode tallied %d fenwick selects", ks.FenwickSelects)
 		}
+	}
+	hooked := func(unit float64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(context.Background(), n, Config{Method: SSA, Rates: Rates{Fast: 50, Slow: 1},
+				TEnd: 5, Unit: unit, Seed: 3, Obs: &countingObserver{}}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := hooked(40), hooked(400); many != few {
+		t.Errorf("hooked run: %.0f allocs at Unit 40, %.0f at Unit 400: firings allocate", few, many)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 const defaultLaneWidth = 8
 
 // BatchConfig describes a multi-run simulation: N runs of one network,
-// sharing a compiled kernel, executed through the SoA ensemble engine
-// wherever the runs qualify and through the scalar backends otherwise.
+// sharing a compiled kernel; SSA runs without per-run hooks share SoA
+// ensemble blocks, and every other run goes through Run on its own.
 type BatchConfig struct {
 	// Base is the per-run configuration template. Its Seed is the ensemble
 	// base seed (per-run seeds derive from it unless Seeds is given); its
@@ -42,16 +42,16 @@ type BatchConfig struct {
 
 	// Configure, when non-nil, customizes run i's config after the seed is
 	// assigned (sweep points override Rates, jobs attach watchers, ...).
-	// Runs whose configs end up identical — and which carry no events,
-	// observer or watchers — share SoA blocks; anything else falls back to
-	// a scalar sim.Run with the shared kernel.
+	// SSA runs whose configs end up identical — and which carry no events,
+	// observer or watchers — share SoA blocks; anything else runs alone
+	// through Run with the shared kernel.
 	Configure func(i int, cfg *Config)
 
 	// Lanes is the SoA block width; 0 picks the default (8), 1 degenerates
 	// to one-lane blocks (the bit-identity reference).
 	Lanes int
 
-	// Workers fans blocks and scalar runs out over a batch worker pool
+	// Workers fans blocks and single runs out over a batch worker pool
 	// (per-job spans, queue-wait metrics, resource attribution). 0 runs
 	// everything inline on the calling goroutine.
 	Workers int
@@ -69,7 +69,7 @@ type BatchConfig struct {
 	OnResult func(i int, tr *trace.Trace, err error)
 
 	// Gate, when non-nil, is acquired around each unit of simulation work
-	// (one SoA block or one scalar run) — the server wraps its global sim
+	// (one SoA block or one single run) — the server wraps its global sim
 	// semaphore here. The returned release func is called when the unit
 	// finishes; a Gate error fails the unit's runs.
 	Gate func(ctx context.Context) (release func(), err error)
@@ -77,7 +77,7 @@ type BatchConfig struct {
 	// Metrics, when non-nil, receives batch execution metrics (queue wait,
 	// job durations, worker shards) and per-run sim_runs/sim_steps
 	// families. Laned runs report run-level totals only; per-step
-	// histograms require a scalar run with an Observer.
+	// histograms require a run with an Observer, which runs alone.
 	Metrics *obs.Registry
 
 	// JobTimeout bounds each unit of work when Workers > 0 (batch
@@ -93,11 +93,10 @@ type runGroupKey struct {
 	sampleEvery float64
 	unit        float64
 	maxFirings  int
-	selMode     int
 }
 
-// runItem is one unit of execution: a laned SoA block (len(runs) > 1 or
-// laned true) or a single scalar run.
+// runItem is one unit of execution: a laned SoA block or a single run
+// through Run.
 type runItem struct {
 	runs  []int    // global run indices, in order
 	cfgs  []Config // normalized configs, parallel to runs
@@ -111,12 +110,12 @@ type runItem struct {
 //
 // The network structure is compiled once and bound once per distinct rate
 // assignment, so a sweep walks the dependency graph once instead of once
-// per run. Runs that qualify for the SoA engine — SSA, no events, no
-// observer, no watchers — are grouped by identical parameters and advanced
-// in lane blocks through internal/sim/ensemble, with per-lane SplitMix64
-// streams keeping every lane bit-identical to a scalar Run of the same
-// seed. Everything else (ODE, tau-leap, observed/watched/evented runs)
-// runs through the scalar backends with the shared kernel.
+// per run. SSA runs that may share a block — no events, no observer, no
+// watchers — are grouped by identical parameters and advanced in lane
+// blocks through internal/sim/ensemble, with per-lane SplitMix64 streams
+// keeping every lane bit-identical to a Run of the same seed (itself a
+// one-lane block). Everything else (ODE, tau-leap, observed/watched/
+// evented SSA runs) runs alone through Run with the shared kernel.
 //
 // Per-run failures are recorded in the ensemble's Errs slots (and reported
 // through OnResult); the returned error is non-nil only for configuration
@@ -336,7 +335,6 @@ func runLanedItem(ctx context.Context, it *runItem, n *crn.Network, names []stri
 		MaxFirings:  cfg.MaxFirings,
 		Seeds:       seeds,
 		FinalsOnly:  finalsOnly,
-		Sel:         cfg.selMode, // sel constants mirror ensemble.Sel*
 		Stats:       stats,
 	})
 	wall := time.Since(startWall).Seconds()
@@ -379,16 +377,17 @@ func runLanedItem(ctx context.Context, it *runItem, n *crn.Network, names []stri
 	return firstErr
 }
 
-// laneable reports whether a run may execute on the SoA lane engine: exact
-// SSA with no per-firing feature hooks. Everything else needs the scalar
-// backends (which still share the batch's compiled kernel).
+// laneable reports whether a run may share an SoA block with other runs:
+// exact SSA with no events, observer or watchers. Those carry per-run
+// state, so a hooked SSA run is a one-lane block of its own, which Run
+// builds; ODE and tau-leap runs have no lanes at all.
 func laneable(cfg Config) bool {
 	return cfg.Method == SSA && len(cfg.Events) == 0 && cfg.Obs == nil && len(cfg.Watchers) == 0
 }
 
 // groupRuns partitions runs into execution items: maximal groups of
 // consecutive laneable runs with identical block-wide parameters, chunked
-// into width-lanes blocks, and single-run scalar items for the rest.
+// into width-lanes blocks, and single-run items for the rest.
 // Consecutive grouping preserves run ordering in the common sweep layouts
 // (runs-major within a sweep point), where it loses nothing against global
 // grouping.
@@ -424,7 +423,6 @@ func groupRuns(cfgs []Config, lanes int) []runItem {
 			sampleEvery: cfgs[i].SampleEvery,
 			unit:        cfgs[i].Unit,
 			maxFirings:  cfgs[i].MaxFirings,
-			selMode:     cfgs[i].selMode,
 		}
 		if len(group) > 0 && k != key {
 			flush(group)

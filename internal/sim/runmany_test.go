@@ -1,9 +1,10 @@
 package sim
 
-// Tests for the PR7 multi-run engine: bit-identity between the SoA lane
-// engine and the scalar backend, ragged lane retirement, worker-count
-// invariance, and the RunMany routing rules (laneable grouping, scalar
-// fallback, per-run error recording).
+// Tests for the multi-run front of the SSA engine: lanes of a block
+// against one-lane runs of the same seed, ragged lane retirement,
+// worker-count invariance, and the RunMany routing rules (laneable
+// grouping, single-run fallback, per-run error recording). The golden
+// trajectories every width is held to are in golden_test.go.
 
 import (
 	"context"
@@ -43,43 +44,9 @@ func tracesBitEqual(t *testing.T, label string, want, got *trace.Trace) {
 	}
 }
 
-// TestEnsembleBitIdentical pins the central contract of the SoA engine:
-// every lane of a RunMany ensemble is bit-for-bit identical to a scalar
-// sim.Run of the same seed, at every lane width, including width 1 (the
-// degenerate block) and widths that leave a ragged final block.
-func TestEnsembleBitIdentical(t *testing.T) {
-	n := chainNet(t, 40) // ~90 reactions: above the Fenwick auto crossover
-	base := Config{Method: SSA, Rates: Rates{Fast: 50, Slow: 1}, TEnd: 5, Unit: 40, Seed: 99}
-	const runs = 6
-
-	scalar := make([]*trace.Trace, runs)
-	for i := 0; i < runs; i++ {
-		cfg := base
-		cfg.Seed = batch.DeriveSeed(base.Seed, i)
-		tr, err := Run(context.Background(), n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar[i] = tr
-	}
-
-	for _, lanes := range []int{1, 4, 16} {
-		ens, err := RunMany(context.Background(), n, BatchConfig{Base: base, Runs: runs, Lanes: lanes})
-		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		if err := ens.Err(); err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		for i := 0; i < runs; i++ {
-			tracesBitEqual(t, "lanes="+string(rune('0'+lanes))+" run", scalar[i], ens.Traces[i])
-		}
-	}
-}
-
 // TestEnsembleFinalsOnlyMatchesTraceMode asserts that the finals-only fast
 // path changes no arithmetic: final states agree bit for bit with the
-// trace-mode ensemble, which in turn agrees with scalar runs.
+// trace-mode ensemble.
 func TestEnsembleFinalsOnlyMatchesTraceMode(t *testing.T) {
 	n := chainNet(t, 40)
 	bc := BatchConfig{
@@ -130,9 +97,9 @@ func branchingNet(tb testing.TB) *crn.Network {
 }
 
 // TestEnsembleRaggedRetirement runs a block whose lanes finish at wildly
-// different firing counts and asserts (a) every lane still bit-matches its
-// scalar reference and (b) the occupancy counters actually recorded partial
-// passes (retired lanes stop consuming slots).
+// different firing counts and asserts (a) every lane still bit-matches a
+// one-lane Run of its seed and (b) the occupancy counters actually recorded
+// partial passes (retired lanes stop consuming slots).
 func TestEnsembleRaggedRetirement(t *testing.T) {
 	n := branchingNet(t)
 	var stats kernel.Stats
@@ -198,8 +165,9 @@ func TestRunManyWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestRunManyScalarFallback routes non-laneable runs (ODE, observed runs)
-// through the scalar backends and checks they share the batch correctly.
+// TestRunManyScalarFallback routes runs that may not share a block (ODE,
+// observed SSA runs) through Run one at a time and checks they share the
+// batch correctly.
 func TestRunManyScalarFallback(t *testing.T) {
 	n := chainNet(t, 12)
 	base := Config{Rates: Rates{Fast: 50, Slow: 1}, TEnd: 2}
@@ -246,8 +214,8 @@ func TestRunManyScalarFallback(t *testing.T) {
 	}
 }
 
-// countingObserver tallies run boundaries; any observer disqualifies a run
-// from the lane engine, so this also exercises the scalar fallback.
+// countingObserver tallies run boundaries; any observer keeps a run out of
+// shared blocks, so this also exercises the single-run fallback.
 type countingObserver struct {
 	obs.Base
 	starts, ends int

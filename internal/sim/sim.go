@@ -182,12 +182,15 @@ type Config struct {
 	// Seed feeds the stochastic methods' RNG (deterministic for a given
 	// seed). The batch engine derives a per-job seed when this is zero.
 	Seed int64
-	// MaxFirings caps SSA reaction firings; 0 -> 50 million.
+	// MaxFirings caps SSA reaction firings; 0 -> 50 million. A run that
+	// would need more to reach TEnd fails with an error wrapping
+	// ErrMaxFirings instead of returning a truncated trajectory.
 	MaxFirings int
 	// Epsilon is the tau-leap leap-condition parameter (Cao–Gillespie
 	// style); 0 selects 0.03.
 	Epsilon float64
-	// MaxLeaps caps tau-leap steps; 0 -> 10 million.
+	// MaxLeaps caps tau-leap steps; 0 -> 10 million. A run that would need
+	// more to reach TEnd fails with an error wrapping ErrMaxLeaps.
 	MaxLeaps int
 
 	Events []*Event // optional injection events
@@ -201,20 +204,11 @@ type Config struct {
 
 	// Kernel, when non-nil, additionally receives the run's kernel
 	// hot-path counters (selector choices, exact recomputes, loop-variant
-	// entries, tau-leap rejections), incremented in place as the run
-	// progresses — reusing one sink across runs accumulates a sweep total.
-	// The same counters travel on obs.SimEnd.Kernel, but unlike Obs a
-	// Kernel sink does not disqualify the run from the tight SSA loop, so
-	// it is the only way to observe which loop an unobserved run entered.
+	// entries, tau-leap rejections) — reusing one sink across runs
+	// accumulates a sweep total. The same counters travel on
+	// obs.SimEnd.Kernel, but unlike Obs a Kernel sink does not hook the
+	// SSA run, so it is the only way to observe an unhooked run's counters.
 	Kernel *kernel.Stats
-
-	// selMode overrides the SSA reaction-selection strategy (selAuto,
-	// the zero value, picks the Fenwick index for large networks and the
-	// linear scan below the crossover size). The forced modes exist for
-	// the engine-equivalence tests, which pin the Fenwick index against
-	// the retained linear-scan reference selector (same seed,
-	// byte-identical traces); unexported because that is their only use.
-	selMode int
 
 	// compiled, when non-nil, is a pre-bound kernel for this network and
 	// rate assignment; the backends use it instead of compiling their own.
@@ -225,19 +219,6 @@ type Config struct {
 	// cannot.
 	compiled *kernel.Compiled
 }
-
-// SSA reaction-selection modes (Config.selMode).
-const (
-	selAuto    = iota // linear below ssaFenwickMinReactions, Fenwick above
-	selFenwick        // force the O(log R) Fenwick index
-	selLinear         // force the O(R) reference linear scan
-)
-
-// ssaFenwickMinReactions is the network size at which the O(log R) Fenwick
-// descent overtakes the cache-friendly O(R) accumulation scan. Below it the
-// scan's ~R/2 adds are cheaper than log R dependent-chasing loads; the
-// crossover was measured with BenchmarkTreeSelect/BenchmarkTreeSelectLinear.
-const ssaFenwickMinReactions = 64
 
 // FieldError reports one invalid Config field: the Go field name (dotted
 // for nested fields, e.g. "Rates.Fast") and what is wrong with it.
@@ -376,7 +357,7 @@ func (c Config) normalize() (Config, error) {
 // every method, so traces are directly comparable across methods).
 //
 // Run honours ctx: cancellation or deadline expiry interrupts the step loop
-// (the ODE integrator polls every 256 steps, the SSA every 4096 firings,
+// (the ODE integrator polls every 256 steps, the SSA every 2048 firings,
 // tau-leaping every 64 leaps) and the returned error wraps ctx.Err()
 // together with the simulated time reached. A nil ctx behaves like
 // context.Background().

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -327,6 +328,56 @@ func TestSSARunEvent(t *testing.T) {
 	}
 	if fires < 4 || fires > 12 {
 		t.Fatalf("event fired %d times, want roughly 8", fires)
+	}
+}
+
+// TestRunBudgetExhausted pins that running out of MaxFirings (SSA) or
+// MaxLeaps (tau-leap) before TEnd is an error wrapping ErrMaxFirings or
+// ErrMaxLeaps, from Run and in RunMany's per-run slots, never a truncated
+// trajectory with a TEnd row holding the state at the cap.
+func TestRunBudgetExhausted(t *testing.T) {
+	n := crn.NewNetwork()
+	n.R("decay", map[string]int{"X": 1}, nil, crn.Slow)
+	if err := n.SetInit("X", 10); err != nil {
+		t.Fatal(err)
+	}
+	ssa := Config{Method: SSA, TEnd: 5, Unit: 1000, Seed: 1, MaxFirings: 100}
+	hooked := ssa
+	hooked.Obs = &countingObserver{}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want error
+	}{
+		{"ssa", ssa, ErrMaxFirings},
+		{"ssa/hooked", hooked, ErrMaxFirings},
+		{"tauleap", Config{Method: TauLeap, TEnd: 5, Unit: 1000, Seed: 1, MaxLeaps: 3}, ErrMaxLeaps},
+	} {
+		tr, err := Run(context.Background(), n, c.cfg)
+		if !errors.Is(err, c.want) || tr != nil {
+			t.Errorf("%s: Run = %v, %v; want no trace and %v", c.name, tr != nil, err, c.want)
+		}
+		ens, err := RunMany(context.Background(), n, BatchConfig{Base: c.cfg, Runs: 2})
+		if err != nil {
+			t.Fatalf("%s: RunMany: %v", c.name, err)
+		}
+		for i := range ens.Errs {
+			if !errors.Is(ens.Errs[i], c.want) || ens.Finals[i] != nil {
+				t.Errorf("%s: RunMany run %d: finals %v, err %v; want %v", c.name, i, ens.Finals[i], ens.Errs[i], c.want)
+			}
+		}
+	}
+
+	// The budget counts firings: ten molecules decay in exactly ten
+	// firings and then the network is exhausted, so ten suffice and nine
+	// do not.
+	cfg := Config{Method: SSA, TEnd: 1e6, Unit: 1, Seed: 1, MaxFirings: 10}
+	if _, err := Run(context.Background(), n, cfg); err != nil {
+		t.Fatalf("MaxFirings 10: %v", err)
+	}
+	cfg.MaxFirings = 9
+	if _, err := Run(context.Background(), n, cfg); !errors.Is(err, ErrMaxFirings) {
+		t.Fatalf("MaxFirings 9: err = %v, want ErrMaxFirings", err)
 	}
 }
 

@@ -2,53 +2,37 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/crn"
 	"repro/internal/obs"
+	"repro/internal/sim/ensemble"
 	"repro/internal/sim/kernel"
 	"repro/internal/trace"
 )
 
-// ssaCtxCheckEvery is how often (in reaction firings) the SSA loop polls its
-// context: every 4096 firings, i.e. sub-millisecond cancellation latency at
-// the simulator's typical firing rate while keeping the poll far off the
-// per-firing hot path.
-const ssaCtxCheckEvery = 4096
+// ErrMaxFirings reports that an SSA run used up Config.MaxFirings before
+// reaching TEnd. The run returns no trace (RunMany: no finals), since its
+// state at the cap is not the state at TEnd.
+var ErrMaxFirings = ensemble.ErrMaxFirings
 
-// ssaDriftGuardEvery is how often (in firings) the running propensity index
-// is recomputed exactly from the molecule counts. Fenwick updates accumulate
-// float deltas into internal nodes, so without the guard a very long run
-// would slowly drift from the exact sums.
-const ssaDriftGuardEvery = 65536
-
-// ssaEngine is the per-run state of the exact stochastic backend: the
-// shared compiled kernel, the propensity vector with its running total,
-// and — on networks large enough to repay it — the Fenwick selection index.
-// Its two hot methods, nextDT and fire, allocate nothing (asserted by
-// TestSSAFiringAllocs).
+// runSSA is the exact stochastic backend of Run: a one-lane block of the
+// ensemble engine (internal/sim/ensemble), the engine RunMany's laned
+// sweeps use too. cfg has been normalized and the network validated.
+// Initial concentrations are rounded to molecule counts at Unit molecules
+// per concentration unit, and the returned trace reports concentrations
+// (counts / Unit) so it is directly comparable with ODE output.
 //
-// Both selection modes share every piece of floating-point bookkeeping
-// (props, total, drift-guard recomputes); the Fenwick tree is an overlay
-// consulted only for selection. That is what makes same-seed runs
-// byte-identical across selectors: the only divergence point would be a
-// draw landing within one ulp of a reaction boundary. The ensemble lane
-// engine (internal/sim/ensemble) replays the same arithmetic against
-// lane-strided state, extending the bit-identity guarantee to
-// scalar-vs-ensemble runs of the same seed.
-type ssaEngine struct {
-	k       *kernel.Compiled
-	fen     *kernel.Tree // nil in linear-scan mode
-	kscaled []float64    // Ω-scaled rate constants (division-free propensities)
-	props   []float64    // current propensity of every reaction
-	total   float64      // running sum of props, drift-guarded
-	counts  []float64    // molecule counts, shared with the run loop
-	rng     *kernel.RNG
-	stats   *kernel.Stats // hot-path counters, never nil
-}
-
-func newSSAEngine(n *crn.Network, cfg Config, counts []float64, stats *kernel.Stats) *ssaEngine {
+// Propensity convention: a reaction with deterministic rate law
+// k·Π[S_i]^c_i has propensity k·Ω·Π( falling(n_i, c_i) / Ω^c_i ), which
+// makes the SSA mean converge to the ODE of Deriv as Ω grows.
+//
+// A run with events, an observer or watchers hooks the block (ssaHooks);
+// the hooks only read the state unless an event rewrites the counts, so
+// what watches a run never changes its trajectory.
+func runSSA(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, error) {
+	stats := cfg.Kernel
 	if stats == nil {
 		stats = &kernel.Stats{}
 	}
@@ -56,272 +40,112 @@ func newSSAEngine(n *crn.Network, cfg Config, counts []float64, stats *kernel.St
 	if k == nil {
 		k = kernel.Compile(n, cfg.Rates.Of)
 	}
-	e := &ssaEngine{
-		k:       k,
-		kscaled: k.StochRates(cfg.Unit),
-		props:   make([]float64, k.NumReactions),
-		counts:  counts,
-		rng:     kernel.NewRNG(cfg.Seed),
-		stats:   stats,
+	// The block's lane-occupancy counters describe RunMany's sweeps; a
+	// single run reports the engine's own work only.
+	var ks kernel.Stats
+	ec := ensemble.Config{
+		K:           k,
+		Names:       n.SpeciesNames(),
+		Init:        n.Init(),
+		Unit:        cfg.Unit,
+		TEnd:        cfg.TEnd,
+		SampleEvery: cfg.SampleEvery,
+		MaxFirings:  cfg.MaxFirings,
+		Seeds:       []int64{cfg.Seed},
+		Stats:       &ks,
 	}
-	if cfg.selMode == selFenwick ||
-		(cfg.selMode == selAuto && k.NumReactions >= ssaFenwickMinReactions) {
-		e.fen = kernel.NewTree(k.NumReactions)
-	}
-	e.recomputeAll()
-	return e
-}
-
-// recomputeAll refreshes every propensity from the current counts and the
-// exact total — the float-drift guard, also run after event injections
-// rewrite the state wholesale.
-func (e *ssaEngine) recomputeAll() {
-	e.stats.ExactRecomputes++
-	total := 0.0
-	for i := range e.props {
-		e.props[i] = e.k.Propensity(i, e.kscaled, e.counts)
-		total += e.props[i]
-	}
-	e.total = total
-	if e.fen != nil {
-		e.fen.Rebuild(e.props)
-	}
-}
-
-// nextDT draws the exponential waiting time to the next firing; +Inf when
-// the network is exhausted.
-func (e *ssaEngine) nextDT() float64 {
-	if e.total <= 0 {
-		return math.Inf(1)
-	}
-	return e.rng.ExpFloat64() / e.total
-}
-
-// fire selects the next reaction by inverse-CDF sampling — O(log R) Fenwick
-// descent on indexed networks, O(R) accumulation scan otherwise — applies
-// its stoichiometry to the counts and refreshes the propensities of the
-// affected fan-out by streaming the reaction's update program (dependent
-// index, rate-law form and operands packed per record — see
-// kernel.UpdRecord). Dependents whose propensity is unchanged (typically
-// gated reactions outside their phase, zero before and after) cost one
-// comparison.
-func (e *ssaEngine) fire() int {
-	u := e.rng.Float64() * e.total
-	var chosen int
-	if e.fen != nil {
-		chosen = e.fen.Select(u)
-		e.stats.FenwickSelects++
-	} else {
-		chosen = selectLinear(e.props, u)
-		e.stats.LinearSelects++
-	}
-	e.k.ApplyDelta(chosen, e.counts)
-	kscaled, counts := e.kscaled, e.counts
-	for _, up := range e.k.Updates(chosen) {
-		di := int(up.Dep)
-		var newp float64
-		switch up.Form {
-		case kernel.FormConst:
-			newp = kscaled[di]
-		case kernel.FormUni:
-			newp = kscaled[di] * counts[up.Op1]
-		case kernel.FormBi:
-			newp = kscaled[di] * counts[up.Op1] * counts[up.Op2]
-		case kernel.FormDimer:
-			nn := counts[up.Op1]
-			newp = kscaled[di] * nn * (nn - 1)
-		default:
-			newp = e.k.Propensity(di, kscaled, counts)
+	hooked := len(cfg.Events) > 0 || cfg.Obs != nil || len(cfg.Watchers) > 0
+	var h *ssaHooks
+	var startWall time.Time
+	if hooked {
+		h = &ssaHooks{k: k, unit: cfg.Unit, obs: cfg.Obs, watchers: cfg.Watchers, events: cfg.Events}
+		conc := make([]float64, n.NumSpecies())
+		for i, c := range n.Init() {
+			conc[i] = math.Round(c*cfg.Unit) / cfg.Unit
 		}
-		old := e.props[di]
-		if newp == old {
-			continue
+		h.st = State{net: n, y: conc}
+		for _, e := range cfg.Events {
+			if err := e.prepare(n, conc); err != nil {
+				return nil, err
+			}
 		}
-		e.props[di] = newp
-		e.total += newp - old
-		if e.fen != nil {
-			e.fen.Set(di, newp)
-		}
-	}
-	if e.total < 0 {
-		// Accumulated float drift went negative: resync exactly.
-		e.recomputeAll()
-	}
-	return chosen
-}
-
-// selectLinear is the retained reference selector: the pre-index O(R)
-// accumulation scan, also the faster choice below the Fenwick crossover
-// size. Falls back to the last reaction if u reaches the accumulated total
-// (float roundoff at the extreme right edge).
-func selectLinear(props []float64, u float64) int {
-	acc := 0.0
-	for i, p := range props {
-		acc += p
-		if u < acc {
-			return i
-		}
-	}
-	return len(props) - 1
-}
-
-// runSSA is the exact stochastic backend of Run; cfg has been normalized and
-// the network validated. Initial concentrations are rounded to molecule
-// counts at Unit molecules per concentration unit, and the returned trace
-// reports concentrations (counts / Unit) so it is directly comparable with
-// ODE output.
-//
-// Propensity convention: a reaction with deterministic rate law
-// k·Π[S_i]^c_i has propensity k·Ω·Π( falling(n_i, c_i) / Ω^c_i ), which
-// makes the SSA mean converge to the ODE of Deriv as Ω grows.
-//
-// The loop comes in two variants with identical stochastic behaviour (same
-// RNG consumption, same trajectories for a given seed): a tight loop used
-// when the run has no injection events and no observer, whose per-firing
-// body carries no event/observer branches and no concentration syncing, and
-// a full loop paying for those features only when they are requested.
-func runSSA(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, error) {
-	omega := cfg.Unit
-	nsp := n.NumSpecies()
-	counts := make([]float64, nsp) // integral values, kept as float64
-	for i, c := range n.Init() {
-		counts[i] = math.Round(c * omega)
-	}
-	// Concentration view shared with events; synced from counts at samples
-	// (and, in the full loop, per firing for the changed species).
-	conc := make([]float64, nsp)
-	syncConc := func() {
-		for i := range conc {
-			conc[i] = counts[i] / omega
-		}
-	}
-	syncConc()
-	st := &State{net: n, y: conc}
-	for _, e := range cfg.Events {
-		if err := e.prepare(n, conc); err != nil {
+		var err error
+		if h.sink, startWall, err = startRun(n, "ssa", cfg.TEnd, cfg.Obs, cfg.Watchers); err != nil {
 			return nil, err
 		}
-	}
-	eng := newSSAEngine(n, cfg, counts, cfg.Kernel)
-
-	tr := trace.New(n.SpeciesNames())
-	tr.Grow(int(cfg.TEnd/cfg.SampleEvery) + 2)
-	if err := tr.Append(0, conc); err != nil {
-		return nil, err
-	}
-	sink, startWall, err := startRun(n, "ssa", cfg.TEnd, cfg.Obs, cfg.Watchers)
-	if err != nil {
-		return nil, err
+		ec.Hooks = h
+		stats.FullLoops++
+	} else {
+		stats.TightLoops++
 	}
 
-	t := 0.0
-	nextSample := cfg.SampleEvery
+	res, err := ensemble.Run(ctx, ec)
+	stats.FenwickSelects += ks.FenwickSelects
+	stats.LinearSelects += ks.LinearSelects
+	stats.ExactRecomputes += ks.ExactRecomputes
+	var tr *trace.Trace
 	fired := 0
-	// emitSamples records every sample boundary the waiting interval [t,
-	// t+dt) crosses. Call sites guard with the cheap crossing test so the
-	// per-firing cost is one comparison.
-	emitSamples := func(dt float64) error {
-		for nextSample <= cfg.TEnd && t+dt >= nextSample {
-			syncConc()
-			if err := tr.Append(nextSample, conc); err != nil {
-				return err
-			}
-			obs.ObserveAll(cfg.Watchers, nextSample, conc, sink)
-			if cfg.Obs != nil {
-				cfg.Obs.OnStep(obs.Step{T: nextSample, H: dt, Accepted: true, Propensity: eng.total})
-			}
-			nextSample += cfg.SampleEvery
+	if res != nil {
+		tr, fired, err = res.Traces[0], res.Firings[0], res.Errs[0]
+	}
+	if hooked {
+		end := cfg.TEnd
+		if err != nil {
+			end = h.t
 		}
-		return nil
+		endRunStats("ssa", end, fired, cfg.Obs, h.sink, cfg.Watchers, startWall, err, *stats)
 	}
-	interrupted := func(err error) error {
-		err = fmt.Errorf("sim: ssa interrupted at t=%g of %g (%d firings): %w",
-			t, cfg.TEnd, fired, err)
-		endRunStats("ssa", t, fired, cfg.Obs, sink, cfg.Watchers, startWall, err, *eng.stats)
-		return err
-	}
+	return tr, err
+}
 
-	if len(cfg.Events) == 0 && cfg.Obs == nil {
-		// Tight loop: no per-firing event or observer branches at all.
-		eng.stats.TightLoops++
-		for ; fired < cfg.MaxFirings; fired++ {
-			if fired%ssaCtxCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, interrupted(err)
-				}
-			}
-			if fired%ssaDriftGuardEvery == ssaDriftGuardEvery-1 {
-				eng.recomputeAll()
-			}
-			dt := eng.nextDT()
-			if nextSample <= cfg.TEnd && t+dt >= nextSample {
-				if err := emitSamples(dt); err != nil {
-					return nil, err
-				}
-			}
-			if t+dt >= cfg.TEnd || math.IsInf(dt, 1) {
-				break
-			}
-			t += dt
-			eng.fire()
-		}
-	} else {
-		eng.stats.FullLoops++
-		applyEventChanges := func() {
-			// Events mutate the concentration view; fold changes back into
-			// counts by re-rounding.
-			for i := range counts {
-				counts[i] = math.Round(conc[i] * omega)
-			}
-			syncConc()
-		}
-		for ; fired < cfg.MaxFirings; fired++ {
-			if fired%ssaCtxCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, interrupted(err)
-				}
-			}
-			if fired%ssaDriftGuardEvery == ssaDriftGuardEvery-1 {
-				eng.recomputeAll()
-			}
-			dt := eng.nextDT()
-			if nextSample <= cfg.TEnd && t+dt >= nextSample {
-				if err := emitSamples(dt); err != nil {
-					return nil, err
-				}
-			}
-			if t+dt >= cfg.TEnd || math.IsInf(dt, 1) {
-				break
-			}
-			t += dt
-			chosen := eng.fire()
-			if cfg.Obs != nil {
-				cfg.Obs.OnReactionFiring(obs.ReactionFiring{T: t, Reaction: chosen, Count: 1})
-			}
-			// Keep the concentration view of the changed species current
-			// for the event probes.
-			spec, _ := eng.k.Deltas(chosen)
-			for _, sp := range spec {
-				conc[sp] = counts[sp] / omega
-			}
-			firedEvent := false
-			for _, e := range cfg.Events {
-				if e.step(t, st) {
-					firedEvent = true
-				}
-			}
-			if firedEvent {
-				applyEventChanges()
-				eng.recomputeAll()
-			}
+// ssaHooks are a hooked run's callbacks (ensemble.Hooks): the observer's
+// firing and step telemetry, the watchers, and the injection events, whose
+// probes read a concentration view kept current for the species each
+// firing changes.
+type ssaHooks struct {
+	k        *kernel.Compiled
+	unit     float64
+	obs      obs.Observer // nil when only events or watchers hook the run
+	sink     obs.Observer // watcher event sink, never nil
+	watchers []obs.Watcher
+	events   []*Event
+	st       State   // the events' concentration view
+	t        float64 // time of the latest firing
+}
+
+func (h *ssaHooks) Fired(t float64, rx int, counts []float64) bool {
+	h.t = t
+	if h.obs != nil {
+		h.obs.OnReactionFiring(obs.ReactionFiring{T: t, Reaction: rx, Count: 1})
+	}
+	if len(h.events) == 0 {
+		return false
+	}
+	conc := h.st.y
+	spec, _ := h.k.Deltas(rx)
+	for _, sp := range spec {
+		conc[sp] = counts[sp] / h.unit
+	}
+	fired := false
+	for _, e := range h.events {
+		if e.step(t, &h.st) {
+			fired = true
 		}
 	}
-	syncConc()
-	if tr.End() < cfg.TEnd {
-		if err := tr.Append(cfg.TEnd, conc); err != nil {
-			return nil, err
+	if fired {
+		// Events rewrite the concentration view; fold it back into
+		// molecule counts by re-rounding.
+		for i := range counts {
+			counts[i] = math.Round(conc[i] * h.unit)
+			conc[i] = counts[i] / h.unit
 		}
 	}
-	endRunStats("ssa", cfg.TEnd, fired, cfg.Obs, sink, cfg.Watchers, startWall, nil, *eng.stats)
-	return tr, nil
+	return fired
+}
+
+func (h *ssaHooks) Sampled(t, dt, total float64, conc []float64) {
+	obs.ObserveAll(h.watchers, t, conc, h.sink)
+	if h.obs != nil {
+		h.obs.OnStep(obs.Step{T: t, H: dt, Accepted: true, Propensity: total})
+	}
 }

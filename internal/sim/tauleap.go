@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -16,6 +17,10 @@ import (
 // (propensities, leap condition and Poisson draws over every reaction), so
 // polling every 64 leaps keeps cancellation latency low at negligible cost.
 const tauCtxCheckEvery = 64
+
+// ErrMaxLeaps reports that a tau-leap run used up Config.MaxLeaps before
+// reaching TEnd; the run returns no trace.
+var ErrMaxLeaps = errors.New("sim: tau-leap budget exhausted")
 
 // runTauLeap is the accelerated stochastic backend of Run; cfg has been
 // normalized and the network validated. Steps whose Poisson draws would
@@ -70,7 +75,12 @@ func runTauLeap(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, 
 	t := 0.0
 	nextSample := cfg.SampleEvery
 	leaps := 0
-	for leap := 0; leap < cfg.MaxLeaps && t < cfg.TEnd; leap++ {
+	for leap := 0; t < cfg.TEnd; leap++ {
+		if leap == cfg.MaxLeaps {
+			err := fmt.Errorf("%w at t=%g of %g (%d leaps)", ErrMaxLeaps, t, cfg.TEnd, leap)
+			endRunStats("tauleap", t, leap, cfg.Obs, sink, cfg.Watchers, startWall, err, *stats)
+			return nil, err
+		}
 		if leap%tauCtxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				err = fmt.Errorf("sim: tauleap interrupted at t=%g of %g (%d leaps): %w",

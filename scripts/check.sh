@@ -36,11 +36,13 @@ go test -count=20 -run 'TestGridExperimentsParallelGolden/E12' ./internal/exper/
 # The serving benchmark's determinism test: one seed sends the same request
 # bytes, gets the same reply bytes and counts the same work (~17 s).
 (cd perfbench && go test ./...)
-# The SoA ensemble engine and its sim-layer front (RunMany) move lanes of
-# shared state under worker pools; doubled -race over the block engine and
-# the RunMany/bit-identity tests guards the lane bookkeeping.
+# The SoA ensemble engine is the one exact-SSA engine: sim.Run's one-lane
+# blocks (tight and hooked) and RunMany's shared blocks, moved under worker
+# pools. Doubled -race over the block engine and over the sim-layer SSA,
+# golden bit-identity, RunMany, hooked-pass and firing-budget tests guards
+# the lane bookkeeping.
 go test -race -count=2 -timeout 10m ./internal/sim/ensemble/
-go test -race -count=2 -timeout 15m -run 'Ensemble|RunMany' ./internal/sim/
+go test -race -count=2 -timeout 15m -run 'SSA|Ensemble|RunMany|Golden|KernelStats|Budget' ./internal/sim/
 go test -race -count=2 -timeout 10m ./internal/batch/
 go test -race -count=2 -timeout 10m ./internal/server/
 go test -race -count=2 -timeout 10m ./internal/obs/span/
