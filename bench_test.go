@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/async"
 	"repro/internal/batch"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/crn"
 	"repro/internal/exper"
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 	"repro/internal/phases"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -269,46 +267,6 @@ func benchEnsembleRing(b *testing.B, finalsOnly bool) {
 
 func BenchmarkEnsembleRing(b *testing.B)           { benchEnsembleRing(b, false) }
 func BenchmarkEnsembleRingFinalsOnly(b *testing.B) { benchEnsembleRing(b, true) }
-
-// benchObsRegistry builds a registry shaped like a live server's:
-// ~200 series across counters, gauges and histograms.
-func benchObsRegistry() *obs.Registry {
-	reg := obs.NewRegistry()
-	for i := 0; i < 40; i++ {
-		reg.Counter(obs.Label("bench_requests_total", "route", fmt.Sprintf("r%d", i))).Add(float64(i))
-		reg.Gauge(obs.Label("bench_inflight", "route", fmt.Sprintf("r%d", i))).Set(float64(i))
-		h := reg.Histogram(obs.Label("bench_seconds", "route", fmt.Sprintf("r%d", i)),
-			[]float64{0.001, 0.01, 0.1, 1, 10})
-		h.Observe(float64(i) * 0.01)
-	}
-	return reg
-}
-
-// BenchmarkEnsembleRingFinalsOnlyTSDB re-runs the gated finals-only
-// ensemble leg with an embedded history sampler ticking in the background
-// over a server-sized registry (~200 series, 10ms step — 500x the default
-// cadence). bench.sh reports its ns/run delta against the plain leg as the
-// observed sampling overhead.
-func BenchmarkEnsembleRingFinalsOnlyTSDB(b *testing.B) {
-	db := tsdb.New(benchObsRegistry(), tsdb.Options{Step: 10 * time.Millisecond, Retention: time.Minute})
-	db.Start()
-	defer db.Stop()
-	benchEnsembleRing(b, true)
-}
-
-// BenchmarkTSDBPoll prices one sampling pass over the same server-sized
-// registry in isolation. ns/op here divided by the sampling step is the
-// deterministic upper bound on the sampler's CPU share — the number
-// bench.sh gates below 2% at the stress step, immune to the run-to-run
-// noise an A/B of two long ensemble legs picks up on a shared box.
-func BenchmarkTSDBPoll(b *testing.B) {
-	db := tsdb.New(benchObsRegistry(), tsdb.Options{Step: 10 * time.Millisecond, Retention: time.Minute})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.Poll()
-	}
-}
 
 // BenchmarkSSARingSweepPerRun is the one-run-at-a-time reference for the
 // ensemble gate: the same 16-run ring sweep executed as sequential sim.Run

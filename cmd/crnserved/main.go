@@ -13,21 +13,11 @@
 // clock-health analyzer ("clock_health" in the job request) whose alerts
 // reach the stream, the trace and the clock_alerts_total metric. Access and
 // lifecycle logs are structured JSON (log/slog) with trace/span
-// correlation.
-//
-// Every metric family is also sampled into an embedded time-series store
-// (-tsdb-step, -tsdb-retention) that backs the statusz sparklines, ad-hoc
-// queries at GET /debug/query, and a continuously evaluated alert rule set
-// (-rules, validated offline with -check-rules; built-in defaults cover
-// serving and clock health). When a rule fires, the flight
-// recorder freezes the recent past — SSE events, spans and the rule's
-// input series — into a capsule at GET /debug/flightz/{id}, persisted
-// under -flightdir when set.
+// correlation. Alerting belongs to whatever scrapes /metrics: it exposes
+// every serving and clock-health counter.
 //
 // -debug-addr (off by default) opens a second, operator-only listener with
-// the deep-introspection surface: continuous profiling via /debug/pprof/*,
-// the human-readable /debug/statusz dashboard (health, caches, jobs, clock
-// alerts, runtime sparklines, recent traces), /debug/tracez and /metrics.
+// continuous profiling via /debug/pprof/*, /debug/tracez and /metrics.
 // Bind it to loopback — it is intentionally never served on -addr.
 //
 // SIGINT/SIGTERM triggers graceful shutdown: readiness flips to 503, the
@@ -42,7 +32,7 @@
 //
 //	crnserved -addr :8080 -debug-addr 127.0.0.1:8081 -access-log - &
 //	curl -s localhost:8080/v1/simulate -d '{"crn":"init X = 1\nX -> Y : slow","t_end":5}'
-//	open http://127.0.0.1:8081/debug/statusz
+//	go tool pprof http://127.0.0.1:8081/debug/pprof/profile?seconds=10
 package main
 
 import (
@@ -50,7 +40,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -59,7 +48,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/alert"
 	"repro/internal/server"
 )
 
@@ -81,19 +69,12 @@ type options struct {
 	accessLog    string // "" = off, "-" = stderr, else a file path
 	traceCap     int
 	eventBuf     int
-	procEvery    time.Duration
-
-	tsdbStep      time.Duration // history sampling step (0 = 5s, negative = off)
-	tsdbRetention time.Duration // history window per series (0 = 1h)
-	rulesFile     string        // alert rules JSON ("" = built-in defaults)
-	checkRules    bool          // validate -rules and exit
-	flightDir     string        // flight capsules persisted here ("" = memory only)
 }
 
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&o.debugAddr, "debug-addr", "", "pprof/statusz listener address (empty = off; bind loopback)")
+	flag.StringVar(&o.debugAddr, "debug-addr", "", "pprof/tracez/metrics listener address (empty = off; bind loopback)")
 	flag.Int64Var(&o.maxBody, "max-body", 1<<20, "request body limit in bytes")
 	flag.IntVar(&o.maxSpecies, "max-species", 4096, "species limit per submitted network")
 	flag.IntVar(&o.maxReactions, "max-reactions", 16384, "reaction limit per submitted network")
@@ -108,17 +89,7 @@ func main() {
 	flag.StringVar(&o.accessLog, "access-log", "", "JSON access log: a file path, or - for stderr")
 	flag.IntVar(&o.traceCap, "trace-capacity", 2048, "finished spans retained for /debug/tracez")
 	flag.IntVar(&o.eventBuf, "event-buffer", 256, "per-SSE-subscriber event buffer (full buffers drop)")
-	flag.DurationVar(&o.procEvery, "proc-every", 0, "runtime self-sampling interval (0 = default 5s, negative = off)")
-	flag.DurationVar(&o.tsdbStep, "tsdb-step", 0, "metric history sampling step (0 = default 5s, negative = history/alerts off)")
-	flag.DurationVar(&o.tsdbRetention, "tsdb-retention", 0, "metric history retained per series (0 = 1h)")
-	flag.StringVar(&o.rulesFile, "rules", "", "alert rules JSON file (empty = built-in defaults)")
-	flag.BoolVar(&o.checkRules, "check-rules", false, "validate the -rules file and exit")
-	flag.StringVar(&o.flightDir, "flightdir", "", "directory for persisted flight capsules (empty = in-memory only)")
 	flag.Parse()
-
-	if o.checkRules {
-		os.Exit(runCheckRules(o.rulesFile, os.Stdout, os.Stderr))
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -126,24 +97,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "crnserved:", err)
 		os.Exit(1)
 	}
-}
-
-// runCheckRules validates an alert rules file without starting the server,
-// so deployments (and check.sh) can gate on a bad rules push. With no file
-// it reports the built-in default rule set. Returns the process exit code.
-func runCheckRules(path string, out, errOut io.Writer) int {
-	if path == "" {
-		rules := alert.DefaultRules()
-		fmt.Fprintf(out, "no -rules file; built-in defaults OK (%d rules)\n", len(rules))
-		return 0
-	}
-	rules, err := alert.Load(path)
-	if err != nil {
-		fmt.Fprintf(errOut, "crnserved: -check-rules: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(out, "%s OK (%d rules)\n", path, len(rules))
-	return 0
 }
 
 // serve builds the server, listens on o.addr (and, when set, the debug
@@ -167,17 +120,6 @@ func serve(ctx context.Context, o options, ready, debugReady chan<- net.Addr) er
 		RetainJobs:        o.retainJobs,
 		TraceCapacity:     o.traceCap,
 		EventBuffer:       o.eventBuf,
-		ProcSampleEvery:   o.procEvery,
-		TSDBStep:          o.tsdbStep,
-		TSDBRetention:     o.tsdbRetention,
-		FlightDir:         o.flightDir,
-	}
-	if o.rulesFile != "" {
-		rules, err := alert.Load(o.rulesFile)
-		if err != nil {
-			return fmt.Errorf("-rules: %w", err)
-		}
-		cfg.Rules = rules
 	}
 	switch o.accessLog {
 	case "":

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,7 +14,7 @@ import (
 
 // TestServeEndToEnd boots the daemon on an ephemeral port with the debug
 // listener enabled, walks the API over a real TCP connection — simulate,
-// job lifecycle, metrics, statusz, pprof, health — and then exercises
+// job lifecycle, metrics, pprof, tracez, health — and then exercises
 // graceful shutdown via context cancellation.
 func TestServeEndToEnd(t *testing.T) {
 	o := options{
@@ -150,9 +148,9 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("metrics missing kernel_selects_total:\n%s", body)
 	}
 
-	// The statusz dashboard and pprof live only on the debug listener.
-	if code, _ := get("/debug/statusz"); code != 404 {
-		t.Fatalf("statusz leaked onto the public listener: %d", code)
+	// pprof lives only on the debug listener.
+	if code, _ := get("/debug/pprof/cmdline"); code != 404 {
+		t.Fatalf("pprof leaked onto the public listener: %d", code)
 	}
 	dget := func(path string) (int, string) {
 		resp, err := http.Get(debugBase + path)
@@ -163,33 +161,14 @@ func TestServeEndToEnd(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(b)
 	}
-	code, body = dget("/debug/statusz")
-	if code != 200 {
-		t.Fatalf("statusz: %d %s", code, body)
-	}
-	for _, section := range []string{
-		"Health", "Caches", "Jobs", "Clock alerts", "Resource attribution", "Runtime",
-	} {
-		if !strings.Contains(body, section) {
-			t.Fatalf("statusz missing %q section:\n%s", section, body)
-		}
-	}
 	if code, body := dget("/debug/pprof/cmdline"); code != 200 {
 		t.Fatalf("pprof cmdline: %d %s", code, body)
 	}
-	if code, body := dget("/metrics"); code != 200 || !strings.Contains(body, "proc_goroutines") {
+	if code, body := dget("/debug/tracez"); code != 200 || !strings.Contains(body, `"spans_retained"`) {
+		t.Fatalf("debug tracez: %d %s", code, body)
+	}
+	if code, body := dget("/metrics"); code != 200 || !metricPositive(body, `job_cpu_seconds{kind="batch"}`) {
 		t.Fatalf("debug metrics: %d %s", code, body)
-	}
-	// The embedded history/alerting surface is on by default.
-	if code, body := dget("/debug/tsdb"); code != 200 || !strings.Contains(body, "Alert rules") {
-		t.Fatalf("tsdb page: %d %s", code, body)
-	}
-	code, body = dget("/debug/query?metric=http_requests_total{*}&func=last&agg=sum")
-	if code != 200 || !strings.Contains(body, `"query"`) {
-		t.Fatalf("tsdb query: %d %s", code, body)
-	}
-	if code, body := dget("/debug/flightz"); code != 200 || !strings.Contains(body, "capsules") {
-		t.Fatalf("flightz: %d %s", code, body)
 	}
 
 	// Graceful shutdown: cancel the serve context and the call must return
@@ -206,7 +185,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("listener still accepting after shutdown")
 	}
-	if _, err := http.Get(debugBase + "/debug/statusz"); err == nil {
+	if _, err := http.Get(debugBase + "/metrics"); err == nil {
 		t.Fatal("debug listener still accepting after shutdown")
 	}
 }
@@ -243,63 +222,5 @@ func TestServeBadDebugAddr(t *testing.T) {
 	defer cancel()
 	if err := serve(ctx, o, nil, nil); err == nil {
 		t.Fatal("serve succeeded with an unusable debug address")
-	}
-}
-
-// TestServeBadRulesFile: an unloadable -rules file is a startup error, not a
-// silent fallback to defaults.
-func TestServeBadRulesFile(t *testing.T) {
-	bad := filepath.Join(t.TempDir(), "rules.json")
-	if err := os.WriteFile(bad, []byte(`{"rules":[{"name":"x","op":"~","value":1}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	o := options{addr: "127.0.0.1:0", rulesFile: bad}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err := serve(ctx, o, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "-rules") {
-		t.Fatalf("serve with a broken rules file: %v", err)
-	}
-}
-
-// TestRunCheckRules covers the offline validation subcommand's three paths:
-// defaults, a valid file and an invalid file.
-func TestRunCheckRules(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := runCheckRules("", &out, &errOut); code != 0 {
-		t.Fatalf("defaults: exit %d, stderr %q", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "built-in defaults OK") {
-		t.Fatalf("defaults output %q", out.String())
-	}
-
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.json")
-	if err := os.WriteFile(good, []byte(`{"rules":[
-		{"name":"queue-deep","kind":"threshold","metric":"jobs_queued","op":">","value":5}
-	]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := runCheckRules(good, &out, &errOut); code != 0 {
-		t.Fatalf("good file: exit %d, stderr %q", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "OK (1 rules)") {
-		t.Fatalf("good output %q", out.String())
-	}
-
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"rules":[{"name":"dup","metric":"a","op":">","value":1},{"name":"dup","metric":"b","op":">","value":1}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	errOut.Reset()
-	if code := runCheckRules(bad, &out, &errOut); code != 1 {
-		t.Fatalf("bad file: exit %d", code)
-	}
-	if !strings.Contains(errOut.String(), "dup") {
-		t.Fatalf("bad stderr %q", errOut.String())
-	}
-	if code := runCheckRules(filepath.Join(dir, "missing.json"), &out, &errOut); code != 1 {
-		t.Fatal("missing file: exit 0")
 	}
 }

@@ -6,8 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs/alert"
-	"repro/internal/obs/tsdb"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -61,56 +60,30 @@ func TestRunAgainstInProcessServer(t *testing.T) {
 	}
 }
 
-// TestLoadLandsInHistoryAndRules drives the generator at a server with a
-// fast-sampling embedded history store and one load-sensitive alert rule:
-// the traffic must appear as a positive windowed request rate in the store
-// and trip the rule — loadgen doubles as the smoke driver for the alerting
-// surface.
-func TestLoadLandsInHistoryAndRules(t *testing.T) {
-	s := server.New(server.Config{
-		TSDBStep:   20 * time.Millisecond,
-		AlertEvery: 20 * time.Millisecond,
-		Rules: []alert.Rule{{
-			Name: "request-load", Kind: "threshold",
-			Metric: "http_requests_total{*}", Func: "rate", Agg: "sum",
-			Op: ">", Value: 0.1, WindowSeconds: 5,
-		}},
-	})
+// TestLoadLandsInMetrics: every simulate request the generator reports is
+// one the server counted in http_requests_total, the counter a /metrics
+// scraper alerts on.
+func TestLoadLandsInMetrics(t *testing.T) {
+	s := server.New(server.Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	// The qps throttle stretches the run across many sampling steps — an
-	// unthrottled burst fits inside one step, and a counter that is born
-	// already at its final value has no in-window increase to rate over.
 	c := config{
 		target:      srv.URL,
 		duration:    time.Minute,
 		requests:    30,
-		qps:         100,
 		concurrency: 2,
 		mix:         0, // pure simulate traffic keeps this fast
 		seed:        3,
 		timeout:     30 * time.Second,
 	}
-	if _, err := run(context.Background(), c); err != nil {
+	rep, err := run(context.Background(), c)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-
-	// The burst outruns the 20ms sampler: wait for the history to catch up
-	// (a rate needs two samples in the window) and the rule to evaluate.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, ok := s.TSDB().Eval(tsdb.Query{
-			Metric: "http_requests_total{*}", Func: "rate", Agg: "sum", Window: 5 * time.Second,
-		})
-		if ok && v > 0 && s.Alerts().FiringCount() > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("after load: rate=%g ok=%v firing=%d, want rate > 0 and request-load firing",
-				v, ok, s.Alerts().FiringCount())
-		}
-		time.Sleep(5 * time.Millisecond)
+	key := obs.Label("http_requests_total", "route", "POST /v1/simulate", "code", "200")
+	if got := s.Registry().Snapshot()[key]; got != float64(rep.Simulate.Count) || got != 30 {
+		t.Fatalf("%s = %g, loadgen reported %d simulate requests, want 30", key, got, rep.Simulate.Count)
 	}
 }
 

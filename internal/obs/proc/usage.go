@@ -1,6 +1,21 @@
+// Package proc provides the point-in-time Usage readings the batch engine
+// and the HTTP server use to attribute CPU time and allocation volume to
+// individual jobs and requests.
+//
+// ReadUsage brackets a unit of work with cumulative process counters (CPU
+// seconds from getrusage, allocated bytes/objects from runtime/metrics);
+// the delta is that work's attributed cost. The counters are
+// process-global, so the attribution is approximate under concurrency —
+// see DESIGN.md for why the totals stay exact anyway.
 package proc
 
 import "runtime/metrics"
+
+// runtime/metrics names ReadUsage samples.
+const (
+	mAllocBytes = "/gc/heap/allocs:bytes"
+	mAllocObjs  = "/gc/heap/allocs:objects"
+)
 
 // Usage is a point-in-time reading of the process-global cumulative
 // resource counters used for per-job attribution: CPU seconds (user plus

@@ -435,41 +435,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// Family is one metric's point-in-time export: counters and gauges carry
-// Value; histograms carry the full cumulative bucket snapshot (Bounds with
-// the implied +Inf last, Cum aligned one longer than Bounds) plus Sum and
-// Count. Kind matches the registry's internal discriminator: 'c', 'g', 'h'.
-type Family struct {
-	Name   string
-	Kind   byte
-	Value  float64
-	Bounds []float64
-	Cum    []uint64
-	Sum    float64
-	Count  uint64
-}
-
-// Export snapshots every metric in registration order. It is the bulk-read
-// companion of Snapshot for consumers that need histogram buckets — the
-// time-series sampler derives interval quantiles from consecutive Export
-// calls' cumulative bucket deltas.
-func (r *Registry) Export() []Family {
-	keys, counters, gauges, hists := r.copyRefs()
-	out := make([]Family, 0, len(keys))
-	for _, k := range keys {
-		switch k.kind {
-		case 'c':
-			out = append(out, Family{Name: k.name, Kind: 'c', Value: counters[k.name].Value()})
-		case 'g':
-			out = append(out, Family{Name: k.name, Kind: 'g', Value: gauges[k.name].Value()})
-		case 'h':
-			bounds, cum, sum, n := hists[k.name].snapshot()
-			out = append(out, Family{Name: k.name, Kind: 'h', Bounds: bounds, Cum: cum, Sum: sum, Count: n})
-		}
-	}
-	return out
-}
-
 // Summary renders a short human-readable account of the registry, one metric
 // per line, histograms as count/mean.
 func (r *Registry) Summary() string {

@@ -117,9 +117,8 @@ type JobStatus struct {
 
 // jobRun tracks one asynchronously launched RunMany: live per-point progress
 // from atomic counters, cooperative cancellation, and the final error once
-// the engine drains. It is the server-side analogue of batch.Handle, with
-// point (not work-item) granularity — a laned ensemble block reports each of
-// its lanes as it retires.
+// the engine drains. Progress has point (not work-item) granularity — a
+// laned ensemble block reports each of its lanes as it retires.
 type jobRun struct {
 	total     int
 	completed atomic.Int64

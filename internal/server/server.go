@@ -24,9 +24,9 @@
 //	GET    /readyz         readiness (503 once draining begins)
 //
 // DebugHandler serves the operator-only introspection surface — continuous
-// profiling via /debug/pprof/*, the human-readable /debug/statusz
-// dashboard, /debug/tracez and a /metrics mirror — meant for a separate
-// loopback listener (crnserved -debug-addr), never the public one.
+// profiling via /debug/pprof/*, /debug/tracez and a /metrics mirror — meant
+// for a separate loopback listener (crnserved -debug-addr), never the public
+// one.
 //
 // Every request runs under a span: the W3C traceparent header is honoured on
 // the way in and set on the way out, job submissions parent one span per
@@ -47,17 +47,14 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/pprof"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/alert"
-	"repro/internal/obs/flight"
-	"repro/internal/obs/proc"
 	"repro/internal/obs/span"
-	"repro/internal/obs/tsdb"
 )
 
 // Limits bounds what a single request may ask of the server. Zero values
@@ -123,10 +120,6 @@ type Config struct {
 	// lifecycle records directly, overriding AccessLog. Wrap custom
 	// handlers with obs.WithSpanContext to keep trace/span correlation.
 	Logger *slog.Logger
-	// ProcSampleEvery is the runtime self-sampling cadence of the proc
-	// collector feeding proc_* metrics and the /debug/statusz sparklines;
-	// 0 -> proc.DefaultInterval, negative disables collection.
-	ProcSampleEvery time.Duration
 	// Tracer records request/job/sim spans (served at /debug/tracez); one
 	// with TraceCapacity retained spans is created when nil.
 	Tracer *span.Tracer
@@ -137,24 +130,6 @@ type Config struct {
 	// buffer is full loses events (counted, never blocking the publisher).
 	// 0 -> 256.
 	EventBuffer int
-	// TSDBStep is the sampling cadence of the embedded time-series store
-	// that snapshots the registry for statusz sparklines, /debug/query and
-	// the alert rules; 0 -> 5s, negative disables the store (and with it
-	// the alert engine and flight recorder).
-	TSDBStep time.Duration
-	// TSDBRetention bounds how much history each series keeps; 0 -> 1h.
-	TSDBRetention time.Duration
-	// Rules is the alert rule set evaluated against the store;
-	// nil -> alert.DefaultRules(). An explicitly empty non-nil slice
-	// disables alerting while keeping the store.
-	Rules []alert.Rule
-	// AlertEvery is the rule evaluation cadence; 0 -> TSDBStep.
-	AlertEvery time.Duration
-	// FlightDir, when non-empty, persists flight-recorder capsules as JSON
-	// files there in addition to the in-memory ring.
-	FlightDir string
-	// FlightCapsules bounds the in-memory capsule ring; 0 -> 16.
-	FlightCapsules int
 }
 
 // Server is the HTTP simulation service. Create with New, serve Handler().
@@ -162,8 +137,6 @@ type Server struct {
 	cfg      Config
 	reg      *obs.Registry
 	log      *slog.Logger
-	proc     *proc.Collector
-	start    time.Time
 	netCache *lruCache // crn text hash -> *crn.Network
 	resCache *lruCache // canonical request hash -> cachedResponse
 	sem      chan struct{}
@@ -175,10 +148,6 @@ type Server struct {
 	broker    *obs.Broker
 	drainCh   chan struct{} // closed when draining starts; ends SSE streams
 	drainOnce sync.Once
-
-	db       *tsdb.DB         // nil when Config.TSDBStep < 0
-	engine   *alert.Engine    // nil when the store or rule set is disabled
-	recorder *flight.Recorder // nil when the store is disabled
 
 	simInflight *obs.Gauge
 	simWait     *obs.Histogram
@@ -227,7 +196,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
-		start:    time.Now(),
 		netCache: newLRU(cfg.CacheSize, "network", reg),
 		resCache: newLRU(cfg.CacheSize, "response", reg),
 		sem:      make(chan struct{}, cfg.MaxConcurrentSims),
@@ -251,33 +219,7 @@ func New(cfg Config) *Server {
 	case cfg.AccessLog != nil:
 		s.log = obs.NewLogger(cfg.AccessLog, nil)
 	}
-	if cfg.ProcSampleEvery >= 0 {
-		s.proc = proc.New(reg, cfg.ProcSampleEvery)
-		s.proc.Start()
-	}
 	s.jobs = newJobStore(s)
-	if cfg.TSDBStep >= 0 {
-		s.db = tsdb.New(reg, tsdb.Options{Step: cfg.TSDBStep, Retention: cfg.TSDBRetention})
-		s.recorder = flight.New(flight.Options{
-			Broker: s.broker, Spans: tracer.Store(), DB: s.db,
-			Dir: cfg.FlightDir, MaxCapsules: cfg.FlightCapsules,
-			Extra: []string{"proc_*"},
-		})
-		rules := cfg.Rules
-		if rules == nil {
-			rules = alert.DefaultRules()
-		}
-		if len(rules) > 0 {
-			s.engine = alert.New(alert.Options{
-				DB: s.db, Rules: rules, Every: cfg.AlertEvery,
-				Registry: reg, Broker: s.broker, Logger: s.log, Tracer: tracer,
-				OnTransition: s.onAlertTransition,
-			})
-		}
-		s.db.Start()
-		s.recorder.Start()
-		s.engine.Start()
-	}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/simulate", s.handleSimulate)
 	s.route("POST /v1/jobs", s.handleJobSubmit)
@@ -289,10 +231,6 @@ func New(cfg Config) *Server {
 	s.route("GET /v1/experiments", s.handleExperiments)
 	s.route("GET /metrics", s.handleMetrics)
 	s.route("GET /debug/tracez", s.handleTracez)
-	s.route("GET /debug/query", s.handleTSDBQuery)
-	s.route("GET /debug/tsdb", s.handleTSDBPage)
-	s.route("GET /debug/flightz", s.handleFlightList)
-	s.route("GET /debug/flightz/{id}", s.handleFlightGet)
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /readyz", s.handleReadyz)
 	return s
@@ -314,30 +252,25 @@ func (s *Server) Tracer() *span.Tracer { return s.tracer }
 // Broker returns the server's SSE event broker.
 func (s *Server) Broker() *obs.Broker { return s.broker }
 
-// TSDB returns the embedded time-series store, or nil when disabled.
-func (s *Server) TSDB() *tsdb.DB { return s.db }
-
-// Alerts returns the alert engine, or nil when disabled.
-func (s *Server) Alerts() *alert.Engine { return s.engine }
-
-// Flight returns the flight recorder, or nil when the store is disabled.
-func (s *Server) Flight() *flight.Recorder { return s.recorder }
-
-// onAlertTransition is the alert engine's hook: entering firing captures a
-// flight capsule so the recent past survives the incident.
-func (s *Server) onAlertTransition(tr alert.Transition) {
-	if tr.To != alert.StateFiring {
-		return
-	}
-	s.recorder.Capture(flight.Trigger{
-		Rule: tr.Rule.Name, Severity: tr.Rule.Severity, State: tr.To,
-		Value: tr.Value, Threshold: tr.Rule.Value, Detail: tr.Rule.Detail,
-		Inputs: tr.Rule.Inputs(),
-	})
-}
-
 // Handler returns the service's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// DebugHandler returns the operator-only debug surface: net/http/pprof
+// under /debug/pprof/, the /debug/tracez span browser and a /metrics
+// mirror. It is intentionally a separate handler from Handler() so
+// crnserved can bind it to an opt-in loopback listener (-debug-addr) —
+// profiles and runtime internals never ship on the public API listener.
+func (s *Server) DebugHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("GET /debug/tracez", s.handleTracez)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	return mux
+}
 
 // Draining reports whether StartDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -348,13 +281,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // is idempotent.
 func (s *Server) StartDrain() {
 	s.draining.Store(true)
-	s.drainOnce.Do(func() {
-		close(s.drainCh)
-		s.proc.Stop()
-		s.engine.Stop()
-		s.recorder.Stop()
-		s.db.Stop()
-	})
+	s.drainOnce.Do(func() { close(s.drainCh) })
 }
 
 // Drain performs graceful shutdown of the simulation side: it stops

@@ -478,6 +478,40 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 }
 
+// TestDebugHandlerRoutes: the pprof surface, tracez and the metrics mirror
+// answer on the debug mux, none of pprof leaks onto the public handler,
+// and the metric-history, alerting, flight-recorder and dashboard routes
+// exist on neither.
+func TestDebugHandlerRoutes(t *testing.T) {
+	s := New(Config{})
+	dbg := s.DebugHandler()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/metrics", "/debug/tracez"} {
+		rec := httptest.NewRecorder()
+		dbg.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Errorf("debug %s: %d", path, rec.Code)
+		}
+	}
+	gone := []string{"/debug/statusz", "/debug/query?metric=http_requests_total", "/debug/tsdb",
+		"/debug/flightz", "/debug/flightz/f000001"}
+	for _, h := range []struct {
+		name  string
+		h     http.Handler
+		paths []string
+	}{
+		{"debug", dbg, gone},
+		{"public", s.Handler(), append([]string{"/debug/pprof/", "/debug/pprof/profile"}, gone...)},
+	} {
+		for _, path := range h.paths {
+			rec := httptest.NewRecorder()
+			h.h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("%s %s: %d, want 404", h.name, path, rec.Code)
+			}
+		}
+	}
+}
+
 // TestClientDisconnectCancelsSimulation: when the client goes away
 // mid-simulation, the server must abort the run through its context —
 // freeing the semaphore slot — instead of integrating a huge horizon to

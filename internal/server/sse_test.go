@@ -401,7 +401,8 @@ func clockHealthJob(t testing.TB) JobRequest {
 
 // TestClockHealthJobAlertStream: a job carrying a clock_health spec tuned to
 // trip (threshold so low that both species count as occupied at once) must
-// push alert events over SSE and count them in /metrics.
+// push alert events over SSE, count them in /metrics, and leave each run's
+// verdict in its trace as alert events on the run's sim span.
 func TestClockHealthJobAlertStream(t *testing.T) {
 	s := New(Config{Workers: 1, MaxConcurrentSims: 1})
 	srv := httptest.NewServer(s.Handler())
@@ -412,6 +413,10 @@ func TestClockHealthJobAlertStream(t *testing.T) {
 		t.Fatalf("submit status %d: %s", rec.Code, rec.Body.String())
 	}
 	id := decode[JobStatus](t, rec).ID
+	tid, _, err := span.ParseTraceparent(rec.Header().Get("traceparent"))
+	if err != nil {
+		t.Fatalf("submit traceparent: %v", err)
+	}
 
 	r, _ := openSSE(t, srv.URL+"/v1/jobs/"+id+"/events")
 	sawAlert := false
@@ -432,6 +437,59 @@ func TestClockHealthJobAlertStream(t *testing.T) {
 	key := obs.Label("clock_alerts_total", "rule", "phase_overlap")
 	if got := s.Registry().Snapshot()[key]; got < 1 {
 		t.Fatalf("%s = %g, want >= 1", key, got)
+	}
+
+	// The trace export: every one of the job's four sim.ode spans carries
+	// at least one phase_overlap alert event.
+	type otlpTrace struct {
+		ResourceSpans []struct {
+			ScopeSpans []struct {
+				Spans []struct {
+					Name   string `json:"name"`
+					Events []struct {
+						Name       string `json:"name"`
+						Attributes []struct {
+							Key   string `json:"key"`
+							Value struct {
+								StringValue string `json:"stringValue"`
+							} `json:"value"`
+						} `json:"attributes"`
+					} `json:"events"`
+				} `json:"spans"`
+			} `json:"scopeSpans"`
+		} `json:"resourceSpans"`
+	}
+	// Every sim span ends inside RunMany, before job_done is published.
+	rec = do(t, s.Handler(), "GET", "/debug/tracez?trace="+tid.String(), nil)
+	if rec.Code != 200 {
+		t.Fatalf("tracez status %d: %s", rec.Code, rec.Body.String())
+	}
+	var overlaps []int // phase_overlap alert events per sim.ode span
+	for _, rs := range decode[otlpTrace](t, rec).ResourceSpans {
+		for _, ss := range rs.ScopeSpans {
+			for _, sp := range ss.Spans {
+				if sp.Name != "sim.ode" {
+					continue
+				}
+				n := 0
+				for _, ev := range sp.Events {
+					for _, a := range ev.Attributes {
+						if ev.Name == "alert" && a.Key == "rule" && a.Value.StringValue == "phase_overlap" {
+							n++
+						}
+					}
+				}
+				overlaps = append(overlaps, n)
+			}
+		}
+	}
+	if len(overlaps) != 4 {
+		t.Fatalf("trace %s holds %d sim.ode spans, want 4", tid, len(overlaps))
+	}
+	for i, n := range overlaps {
+		if n == 0 {
+			t.Errorf("sim.ode span %d has no phase_overlap alert event (per span: %v)", i, overlaps)
+		}
 	}
 }
 

@@ -442,13 +442,6 @@ func startRun(n *crn.Network, sim string, tEnd float64, o obs.Observer, watchers
 	return sink, time.Now(), nil
 }
 
-// endRun flushes watchers and emits the SimEnd event (with zero kernel
-// counters; the stochastic backends report theirs through endRunStats).
-func endRun(sim string, t float64, steps int, o obs.Observer, sink obs.Observer,
-	watchers []obs.Watcher, start time.Time, runErr error) {
-	endRunStats(sim, t, steps, o, sink, watchers, start, runErr, kernel.Stats{})
-}
-
 // endRunStats flushes watchers and emits the SimEnd event carrying the
 // run's kernel hot-path counters.
 func endRunStats(sim string, t float64, steps int, o obs.Observer, sink obs.Observer,
