@@ -1,17 +1,17 @@
 // Command crnsim simulates a chemical reaction network described in the
 // repository's .crn text format, deterministically (mass-action ODE) or
-// stochastically (Gillespie SSA or tau-leaping), and prints CSV or an ASCII
-// plot. The instrumentation flags stream machine-readable telemetry while
-// the simulation runs: -events writes a JSONL event log (run lifecycle,
+// stochastically (Gillespie SSA), and prints CSV or an ASCII plot. The
+// instrumentation flags stream machine-readable telemetry while the
+// simulation runs: -events writes a JSONL event log (run lifecycle,
 // Schmitt-triggered clock edges, dominant-phase changes), -metrics writes a
 // Prometheus-style text exposition of the run's counters and histograms,
 // -trace-json exports an OTLP-compatible JSON trace of the run (a root span
 // parenting the sim span, annotated with clock edges, phase changes and any
 // health alerts), and -progress prints coarse progress lines to stderr.
 //
-// The simulator is selected with -method (ode, ssa, tauleap); Ctrl-C stops
-// the run promptly with a partial-horizon error, and -timeout bounds the
-// wall-clock time of the run the same way (non-zero exit when it expires).
+// The simulator is selected with -method (ode, ssa); Ctrl-C stops the run
+// promptly with a partial-horizon error, and -timeout bounds the wall-clock
+// time of the run the same way (non-zero exit when it expires).
 //
 // Usage:
 //
@@ -48,8 +48,6 @@ type options struct {
 	slow    float64
 	method  string // simulator name for sim.ParseMethod
 	solver  string // ODE integrator for sim.ParseSolver
-	useSSA  bool   // deprecated alias for -method ssa
-	useTau  bool   // deprecated alias for -method tauleap
 	unit    float64
 	seed    int64
 	plot    string
@@ -62,35 +60,13 @@ type options struct {
 	timeout time.Duration
 }
 
-// resolveMethod turns the -method string plus the legacy -ssa/-tauleap
-// booleans into a sim.Method. The booleans are aliases kept for script
-// compatibility; an explicit -method wins over them, and contradictory
-// booleans are an error.
-func (o options) resolveMethod() (sim.Method, error) {
-	if o.method != "" {
-		return sim.ParseMethod(o.method)
-	}
-	if o.useSSA && o.useTau {
-		return 0, fmt.Errorf("-ssa and -tauleap are mutually exclusive (use -method)")
-	}
-	switch {
-	case o.useTau:
-		return sim.TauLeap, nil
-	case o.useSSA:
-		return sim.SSA, nil
-	}
-	return sim.ODE, nil
-}
-
 func main() {
 	var o options
 	flag.Float64Var(&o.tEnd, "t", 100, "simulation horizon (time units)")
 	flag.Float64Var(&o.fast, "fast", 100, "fast-category rate constant")
 	flag.Float64Var(&o.slow, "slow", 1, "slow-category rate constant")
-	flag.StringVar(&o.method, "method", "", "simulator: ode, ssa, or tauleap (default ode)")
+	flag.StringVar(&o.method, "method", "", "simulator: ode or ssa (default ode)")
 	flag.StringVar(&o.solver, "solver", "", "ODE integrator: auto, explicit, or stiff (default auto: explicit with stiffness handoff)")
-	flag.BoolVar(&o.useSSA, "ssa", false, "deprecated: alias for -method ssa")
-	flag.BoolVar(&o.useTau, "tauleap", false, "deprecated: alias for -method tauleap")
 	flag.Float64Var(&o.unit, "unit", 100, "stochastic: molecules per concentration unit")
 	flag.Int64Var(&o.seed, "seed", 1, "stochastic: random seed")
 	flag.StringVar(&o.plot, "plot", "", "comma-separated species to plot as ASCII (default: CSV of all species)")
@@ -161,7 +137,7 @@ func loadNetwork(path string) (*crn.Network, error) {
 }
 
 func run(ctx context.Context, path string, o options) (err error) {
-	method, err := o.resolveMethod()
+	method, err := sim.ParseMethod(o.method)
 	if err != nil {
 		return err
 	}

@@ -71,18 +71,6 @@ func TestODERunPlot(t *testing.T) {
 	}
 }
 
-func TestTauLeapRun(t *testing.T) {
-	out, err := capture(t, func() error {
-		return run(context.Background(), osc, options{tEnd: 10, fast: 500, slow: 1, method: "tauleap", unit: 200, seed: 7})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out, "t,") {
-		t.Fatal("tau-leap CSV missing")
-	}
-}
-
 func TestSSARun(t *testing.T) {
 	out, err := capture(t, func() error {
 		return run(context.Background(), osc, options{tEnd: 10, fast: 500, slow: 1, method: "ssa", unit: 200, seed: 7})
@@ -270,32 +258,29 @@ func TestTraceJSON(t *testing.T) {
 	}
 }
 
-// TestResolveMethod covers the -method flag and its interaction with the
-// deprecated -ssa/-tauleap alias booleans.
-func TestResolveMethod(t *testing.T) {
+// TestMethodFlag covers the -method values: sim.ParseMethod takes the flag
+// verbatim, so its names and aliases are the flag's. The simulators are ode
+// and ssa (alias gillespie); any other name is rejected.
+func TestMethodFlag(t *testing.T) {
 	cases := []struct {
-		o    options
-		want sim.Method
-		ok   bool
+		method string
+		want   sim.Method
+		ok     bool
 	}{
-		{options{}, sim.ODE, true},
-		{options{method: "ode"}, sim.ODE, true},
-		{options{method: "SSA"}, sim.SSA, true},
-		{options{method: "gillespie"}, sim.SSA, true},
-		{options{method: "tau-leap"}, sim.TauLeap, true},
-		{options{useSSA: true}, sim.SSA, true},
-		{options{useTau: true}, sim.TauLeap, true},
-		{options{method: "ode", useSSA: true}, sim.ODE, true}, // explicit -method wins
-		{options{method: "euler"}, 0, false},
-		{options{useSSA: true, useTau: true}, 0, false},
+		{"", sim.ODE, true},
+		{"ode", sim.ODE, true},
+		{"SSA", sim.SSA, true},
+		{"gillespie", sim.SSA, true},
+		{"tauleap", 0, false},
+		{"euler", 0, false},
 	}
 	for _, c := range cases {
-		got, err := c.o.resolveMethod()
+		got, err := sim.ParseMethod(c.method)
 		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("resolveMethod(%+v) = %v, %v; want %v", c.o, got, err, c.want)
+			t.Errorf("-method %q = %v, %v; want %v", c.method, got, err, c.want)
 		}
 		if !c.ok && err == nil {
-			t.Errorf("resolveMethod(%+v) accepted", c.o)
+			t.Errorf("-method %q accepted", c.method)
 		}
 	}
 }
@@ -309,7 +294,7 @@ func TestRunInvalidMethod(t *testing.T) {
 	if err == nil {
 		t.Fatal("invalid method accepted")
 	}
-	for _, want := range []string{"euler", "ode", "ssa", "tauleap"} {
+	for _, want := range []string{"euler", "ode", "ssa"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}

@@ -33,7 +33,7 @@ import (
 // network's display tables, indexed consistently with the integer fields of
 // later events; sinks may retain them for the duration of the run.
 type SimStart struct {
-	Sim       string   // "ode", "ssa" or "tauleap"
+	Sim       string   // "ode" or "ssa"
 	T0, T1    float64  // simulated time span
 	Species   []string // species names by index
 	Reactions []string // reaction display names by index
@@ -43,11 +43,11 @@ type SimStart struct {
 type SimEnd struct {
 	Sim         string
 	T           float64 // simulated time reached
-	Steps       int     // accepted ODE steps, SSA firings, or tau-leaps
+	Steps       int     // accepted ODE steps or SSA firings
 	WallSeconds float64 // wall-clock duration of the run
 	Err         string  // non-empty if the run failed
 	// Kernel carries the run's kernel hot-path counters (all zero for ODE
-	// runs, which have no selector or leap machinery).
+	// runs, which have no selector machinery).
 	Kernel KernelStats
 	// ODE carries the deterministic backend's solver decision and stiff
 	// integrator effort (zero for stochastic runs).
@@ -82,7 +82,6 @@ type KernelStats struct {
 	ExactRecomputes uint64 // full propensity rebuilds
 	TightLoops      uint64 // SSA runs without hooks (the tight loop)
 	FullLoops       uint64 // SSA runs with events, an observer or watchers
-	LeapRejections  uint64 // rolled-back tau-leap steps
 	EnsembleBlocks  uint64 // SoA ensemble blocks executed
 	EnsemblePasses  uint64 // macro passes over ensemble lanes
 	LaneSteps       uint64 // ensemble lane advances (active lanes over passes)
@@ -95,16 +94,16 @@ func (k KernelStats) IsZero() bool { return k == KernelStats{} }
 // Step reports one integrator step or stochastic sampling step.
 type Step struct {
 	T        float64
-	H        float64 // step size (ODE/tau-leap) or waiting time (SSA)
+	H        float64 // step size (ODE) or waiting time (SSA)
 	ErrNorm  float64 // ODE error-control norm of the trial step; 0 otherwise
-	Accepted bool    // false for error-control rejections / rolled-back leaps
+	Accepted bool    // false for ODE error-control rejections
 	// Propensity is the total reaction propensity at the step (stochastic
 	// simulators only; 0 for the ODE).
 	Propensity float64
 }
 
 // ReactionFiring reports reaction firings: one event per firing under the
-// exact SSA, one event per Poisson batch under tau-leaping.
+// exact SSA.
 type ReactionFiring struct {
 	T        float64
 	Reaction int     // index into SimStart.Reactions

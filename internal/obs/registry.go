@@ -540,7 +540,7 @@ func equalBounds(a, b []float64) bool {
 // simulators' event stream into the standard metric families
 //
 //	sim_runs_total{sim=}            runs started
-//	sim_steps_total{sim=}           accepted steps / firings / leaps
+//	sim_steps_total{sim=}           accepted steps / firings
 //	sim_errors_total{sim=}          failed runs
 //	sim_wall_seconds{sim=}          wall-clock duration of the last run
 //	ode_steps_accepted_total        accepted integrator steps
@@ -553,7 +553,6 @@ func equalBounds(a, b []float64) bool {
 //	ode_stiff_jacobians_total       analytic Jacobian refills
 //	ode_stiff_factorizations_total  LU factorizations of the shifted matrix
 //	ode_stiff_solves_total          triangular backsolves
-//	stoch_steps_rejected_total      rolled-back tau-leaps
 //	stoch_propensity_total          histogram of total propensity per step
 //	reaction_firings_total{reaction=}  per-reaction firing counts
 //	clock_edges_total{species=,dir=}   Schmitt-trigger edge counts
@@ -564,7 +563,6 @@ func equalBounds(a, b []float64) bool {
 //	kernel_selects_total{mode=}        SSA selections, mode=fenwick|linear
 //	kernel_exact_recomputes_total      full propensity rebuilds
 //	kernel_ssa_loops_total{loop=}      loop entries, loop=tight|full
-//	kernel_leap_rejections_total       rolled-back tau-leap steps
 //	kernel_ensemble_blocks_total       SoA ensemble blocks executed
 //	kernel_ensemble_passes_total       macro passes over ensemble lanes
 //	kernel_ensemble_lane_steps_total   ensemble lane advances executed
@@ -580,7 +578,7 @@ type RegistryObserver struct {
 	reactions []string
 	rxCounter []*Counter // lazily resolved per reaction index
 	accepted  *Counter
-	rejected  *Counter
+	rejected  *Counter // nil for the SSA, which never rejects a step
 	stepHist  *Histogram
 	propHist  *Histogram
 }
@@ -604,7 +602,7 @@ func (o *RegistryObserver) OnSimStart(e SimStart) {
 		o.propHist = nil
 	} else {
 		o.accepted = o.R.Counter(Label("stoch_steps_total", "sim", e.Sim))
-		o.rejected = o.R.Counter("stoch_steps_rejected_total")
+		o.rejected = nil
 		o.stepHist = nil
 		o.propHist = o.R.Histogram("stoch_propensity_total", DefaultStepBuckets())
 	}
@@ -623,7 +621,7 @@ func (o *RegistryObserver) OnStep(e Step) {
 		if o.propHist != nil {
 			o.propHist.Observe(e.Propensity)
 		}
-	} else {
+	} else if o.rejected != nil {
 		o.rejected.Inc()
 	}
 }
@@ -685,9 +683,6 @@ func (o *RegistryObserver) OnSimEnd(e SimEnd) {
 		}
 		if k.FullLoops > 0 {
 			o.R.Counter(Label("kernel_ssa_loops_total", "loop", "full")).Add(float64(k.FullLoops))
-		}
-		if k.LeapRejections > 0 {
-			o.R.Counter("kernel_leap_rejections_total").Add(float64(k.LeapRejections))
 		}
 		if k.EnsembleBlocks > 0 {
 			o.R.Counter("kernel_ensemble_blocks_total").Add(float64(k.EnsembleBlocks))

@@ -242,7 +242,6 @@ func TestRegistryObserver(t *testing.T) {
 	checks := map[string]float64{
 		`sim_runs_total{sim="ssa"}`:                 1,
 		`stoch_steps_total{sim="ssa"}`:              1,
-		"stoch_steps_rejected_total":                1,
 		"stoch_propensity_total_count":              1,
 		`reaction_firings_total{reaction="decay"}`:  3,
 		`reaction_firings_total{reaction="#99"}`:    1,

@@ -82,9 +82,6 @@ func (o *SpanObserver) OnSimEnd(e SimEnd) {
 	if k.ExactRecomputes > 0 {
 		o.S.SetAttr("kernel.exact_recomputes", int64(k.ExactRecomputes))
 	}
-	if k.LeapRejections > 0 {
-		o.S.SetAttr("kernel.leap_rejections", int64(k.LeapRejections))
-	}
 	switch {
 	case k.TightLoops > 0:
 		o.S.SetAttr("kernel.ssa_loop", "tight")

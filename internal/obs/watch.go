@@ -4,7 +4,7 @@ import "fmt"
 
 // Watcher derives semantic events (clock edges, phase changes, duty cycles)
 // from raw state samples. The simulators drive watchers at every accepted
-// step (ODE) or recording sample (SSA, tau-leap):
+// step (ODE) or recording sample (SSA):
 //
 //	Bind(species)          once, to resolve names to state indices
 //	Observe(t, y, sink)    per sample, in increasing-time order

@@ -115,57 +115,42 @@ type JobStatus struct {
 	Results   []PointResult `json:"results,omitempty"`
 }
 
-// jobRun tracks one asynchronously launched RunMany: live per-point progress
-// from atomic counters, cooperative cancellation, and the final error once
-// the engine drains. Progress has point (not work-item) granularity — a
-// laned ensemble block reports each of its lanes as it retires.
-type jobRun struct {
-	total     int
-	completed atomic.Int64
-	failed    atomic.Int64
-
-	cancel context.CancelCauseFunc
-	done   chan struct{}
-	err    error // written once, before done closes
-}
-
-// Progress returns points finished so far and the total. Points skipped by
-// cancellation count toward neither.
-func (h *jobRun) Progress() (completed, failed, total int) {
-	return int(h.completed.Load()), int(h.failed.Load()), h.total
-}
-
-// Cancel asks the engine to stop; it does not block.
-func (h *jobRun) Cancel(cause error) { h.cancel(cause) }
-
-// Done returns a channel closed once the engine has drained.
-func (h *jobRun) Done() <-chan struct{} { return h.done }
-
-// Poll reports whether the job has drained, and its final error if so.
-func (h *jobRun) Poll() (error, bool) {
-	select {
-	case <-h.done:
-		return h.err, true
-	default:
-		return nil, false
-	}
-}
-
-// job is one accepted sweep. results is written by the engine at disjoint
-// indexes while running and read only after run reports done, so the slice
-// needs no lock; everything a status poll reads concurrently is either
-// immutable or atomic.
+// job is one accepted sweep, launched asynchronously through sim.RunMany.
+// results is written by the engine at disjoint indexes while it runs and err
+// once before done closes; both are read only after done has closed, so
+// they need no lock, and everything a status poll reads concurrently is
+// either immutable or atomic. Progress has point (not work-item)
+// granularity — a laned ensemble block reports each of its lanes as it
+// retires — and points skipped by cancellation count toward neither
+// completed nor failed.
 type job struct {
 	id      string
 	created time.Time
 	total   int
-	run     *jobRun
 	results []PointResult
 
-	canceled atomic.Bool
-	finished atomic.Bool
-	started  atomic.Bool  // first sweep point began executing
-	pending  atomic.Int64 // sweep points not yet finished (gauge bookkeeping)
+	completed atomic.Int64
+	failed    atomic.Int64
+	canceled  atomic.Bool
+	finished  atomic.Bool
+	started   atomic.Bool  // first sweep point began executing
+	pending   atomic.Int64 // sweep points not yet finished (gauge bookkeeping)
+
+	cancel context.CancelCauseFunc // asks the engine to stop; does not block
+	// done closes once the engine has drained and the job's counters,
+	// gauges and retention have settled: it alone decides "terminal".
+	done chan struct{}
+	err  error // the sweep's final error, written once before done closes
+}
+
+// isDone reports whether the job has drained.
+func (j *job) isDone() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // terminal reports whether a status is one of the three end states.
@@ -179,18 +164,18 @@ func (j *job) status(includeResults bool) JobStatus {
 	if !j.started.Load() {
 		st.State = "queued"
 	}
-	st.Completed, st.Failed, st.Total = j.run.Progress()
-	if err, done := j.run.Poll(); done {
+	st.Completed, st.Failed, st.Total = int(j.completed.Load()), int(j.failed.Load()), j.total
+	if j.isDone() {
 		switch {
 		case j.canceled.Load():
 			st.State = "canceled"
-		case err != nil && st.Completed == 0:
+		case j.err != nil && st.Completed == 0:
 			st.State = "failed"
 		default:
 			st.State = "done"
 		}
-		if err != nil {
-			st.Error = err.Error()
+		if j.err != nil {
+			st.Error = j.err.Error()
 		}
 		if includeResults {
 			st.Results = j.results
@@ -247,11 +232,11 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 			return nil, errf(http.StatusBadRequest, CodeInvalidRequest, "clock_health: %v", err)
 		}
 	}
-	for _, name := range req.Record {
-		if _, ok := net.SpeciesIndex(name); !ok {
-			return nil, errf(http.StatusBadRequest, CodeInvalidRequest,
-				"record species %q not in the network", name)
-		}
+	// Sweep finals come back as an ensemble whose columns are the network's
+	// species in order, so the network resolves the recorded columns.
+	names, cols, err := recordColumns(net.SpeciesNames(), net.SpeciesIndex, req.Record)
+	if err != nil {
+		return nil, err
 	}
 	runs := req.Runs
 	if runs <= 0 {
@@ -282,7 +267,7 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	}
 	baseRates := baseCfg.Rates
 
-	j := &job{created: time.Now(), total: points}
+	j := &job{created: time.Now(), total: points, done: make(chan struct{})}
 	j.results = make([]PointResult, points)
 	pointSeed := func(i int) int64 { return batch.DeriveSeed(req.Seed, i) }
 	pointRatio := func(i int) float64 {
@@ -303,7 +288,7 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	j.pending.Store(int64(points))
 
 	// Reserve an admission slot and an id; the job is published to the store
-	// only after its run handle exists, so status polls never see a
+	// only after its engine is launched, so status polls never see a
 	// half-built job.
 	st.mu.Lock()
 	if st.active >= s.cfg.Limits.MaxActiveJobs {
@@ -327,7 +312,6 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	parent.SetAttr("job.id", j.id)
 
 	pendingG := s.reg.Gauge("server_job_points_pending")
-	activeG := s.reg.Gauge("server_jobs_active")
 	// Lifecycle gauges: a job is queued from admission until its first point
 	// executes, then active until it goes terminal. queued + active together
 	// always equal the live (not yet drained) job count.
@@ -335,7 +319,6 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	jobsActiveG := s.reg.Gauge("jobs_active")
 	s.reg.Counter("server_jobs_submitted_total").Inc()
 	pendingG.Add(float64(points))
-	activeG.Add(1)
 	jobsQueuedG.Add(1)
 
 	watched := req.Watch || req.ClockHealth != nil
@@ -378,8 +361,7 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	}
 
 	runCtx, cancel := context.WithCancelCause(span.NewContext(context.Background(), jobSpan))
-	run := &jobRun{total: points, cancel: cancel, done: make(chan struct{})}
-	j.run = run
+	j.cancel = cancel
 
 	// Per-point progress: the engine reports each point as it completes —
 	// lanes of an ensemble block retire individually, so progress stays
@@ -399,9 +381,9 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 		pr := PointResult{Index: i, Ratio: pointRatio(i), Seed: pointSeed(i)}
 		if err != nil {
 			pr.Err = err.Error()
-			run.failed.Add(1)
+			j.failed.Add(1)
 		} else {
-			run.completed.Add(1)
+			j.completed.Add(1)
 		}
 		j.results[i] = pr
 		j.pending.Add(-1)
@@ -412,29 +394,17 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	}
 
 	go func() {
-		defer close(run.done)
+		defer close(j.done)
 		ens, runErr := sim.RunMany(runCtx, net, bc)
 		cancel(nil)
 
 		// Project finals for the points that succeeded; failed and skipped
 		// points keep the error text already in their slots.
 		for i := range j.results {
-			if ens == nil || ens.Errs[i] != nil || ens.Finals[i] == nil {
+			if ens == nil || ens.Errs[i] != nil {
 				continue
 			}
-			final := make(map[string]float64, len(req.Record))
-			if len(req.Record) > 0 {
-				for _, name := range req.Record {
-					if col, ok := ens.Index(name); ok {
-						final[name] = ens.Finals[i][col]
-					}
-				}
-			} else {
-				for col, name := range ens.Names {
-					final[name] = ens.Finals[i][col]
-				}
-			}
-			j.results[i].Final = final
+			j.results[i].Final = project(ens.Finals[i], names, cols)
 		}
 		ferr := runErr
 		if ferr == nil && ens != nil {
@@ -445,19 +415,18 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 		// queued releases the queued gauge and goes terminal like any
 		// other), state resolution, span closure, the terminal SSE event,
 		// and retention.
-		run.err = ferr
+		j.err = ferr
 		j.finished.Store(true)
 		if leftover := j.pending.Swap(0); leftover > 0 {
 			pendingG.Add(float64(-leftover)) // points skipped by cancellation
 		}
-		activeG.Add(-1)
 		if j.started.Load() {
 			jobsActiveG.Add(-1)
 		} else {
 			jobsQueuedG.Add(-1)
 		}
-		completed := int(run.completed.Load())
-		failed := int(run.failed.Load())
+		completed := int(j.completed.Load())
+		failed := int(j.failed.Load())
 		state := "done"
 		switch {
 		case j.canceled.Load():
@@ -551,12 +520,12 @@ func (st *jobStore) drain(ctx context.Context) int {
 	forced := 0
 	for _, j := range live {
 		select {
-		case <-j.run.Done():
+		case <-j.done:
 		case <-ctx.Done():
 			j.canceled.Store(true)
-			j.run.Cancel(errors.New("server draining"))
+			j.cancel(errors.New("server draining"))
 			forced++
-			<-j.run.Done()
+			<-j.done
 		}
 	}
 	return forced
@@ -605,9 +574,9 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errf(http.StatusNotFound, CodeNotFound, "unknown job %q", r.PathValue("id")))
 		return
 	}
-	if _, done := j.run.Poll(); !done {
+	if !j.isDone() {
 		j.canceled.Store(true)
-		j.run.Cancel(errors.New("canceled by client"))
+		j.cancel(errors.New("canceled by client"))
 	}
 	writeJSON(w, http.StatusOK, j.status(false))
 }

@@ -164,6 +164,7 @@ func TestJobValidation(t *testing.T) {
 		code   string
 	}{
 		{"missing crn", JobRequest{TEnd: 5}, 400, CodeInvalidRequest},
+		{"tauleap method", JobRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Method: "tauleap"}, 400, CodeInvalidRequest},
 		{"bad crn", JobRequest{CRN: "X ->", TEnd: 5}, 400, CodeInvalidRequest},
 		{"ratio below one", JobRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Ratios: []float64{0.5}}, 400, CodeInvalidRequest},
 		{"sweep too large", JobRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Runs: 5}, 422, CodeLimitExceeded},
@@ -275,17 +276,19 @@ func TestJobsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// The completion watchers settle the gauges shortly after the handles
-	// report done; poll rather than assert a racy instant.
+	// Every job is terminal, so no job is live: queued + active (the live
+	// job count) and the pending points must all read zero. Poll rather than
+	// assert a racy instant.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		snap := s.Registry().Snapshot()
-		if snap["server_jobs_active"] == 0 && snap["server_job_points_pending"] == 0 {
+		live := snap["jobs_queued"] + snap["jobs_active"]
+		if live == 0 && snap["server_job_points_pending"] == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("gauges never settled: active=%g pending=%g",
-				snap["server_jobs_active"], snap["server_job_points_pending"])
+			t.Fatalf("gauges never settled: queued+active=%g pending=%g",
+				live, snap["server_job_points_pending"])
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -369,6 +369,7 @@ func TestSimulateErrors(t *testing.T) {
 		{"neither crn nor experiment", SimulateRequest{TEnd: 5}, 400, CodeInvalidRequest},
 		{"both crn and experiment", SimulateRequest{CRN: "init X = 1\nX -> Y : slow", Experiment: "E1", TEnd: 5}, 400, CodeInvalidRequest},
 		{"bad method", SimulateRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Method: "euler"}, 400, CodeInvalidRequest},
+		{"tauleap method", SimulateRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Method: "tauleap"}, 400, CodeInvalidRequest},
 		{"bad crn text", SimulateRequest{CRN: "X ->", TEnd: 5}, 400, CodeInvalidRequest},
 		{"unused species", SimulateRequest{CRN: "species Ghost\ninit X = 1\nX -> Y : slow", TEnd: 5}, 400, CodeInvalidRequest},
 		{"missing horizon", SimulateRequest{CRN: "init X = 1\nX -> Y : slow"}, 400, CodeInvalidRequest},

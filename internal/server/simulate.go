@@ -31,13 +31,13 @@ type SimulateRequest struct {
 	CRN        string `json:"crn,omitempty"`
 	Experiment string `json:"experiment,omitempty"`
 
-	Method      string  `json:"method,omitempty"` // ode (default), ssa, tauleap
+	Method      string  `json:"method,omitempty"` // ode (default), ssa
 	Solver      string  `json:"solver,omitempty"` // ODE only: auto (default), explicit, stiff
 	TEnd        float64 `json:"t_end,omitempty"`  // required in CRN mode
 	SampleEvery float64 `json:"sample_every,omitempty"`
 	Fast        float64 `json:"fast,omitempty"`
 	Slow        float64 `json:"slow,omitempty"`
-	Unit        float64 `json:"unit,omitempty"` // stochastic methods only
+	Unit        float64 `json:"unit,omitempty"` // ssa only
 	Seed        int64   `json:"seed,omitempty"`
 
 	// Runs requests a multi-run ensemble instead of a single trajectory:
@@ -188,11 +188,11 @@ func (r *SimulateRequest) simConfig(method sim.Method, solver sim.Solver) sim.Co
 // the parsed network re-rendered in the canonical text format (so comments,
 // whitespace and equivalent formatting never split the cache), the resolved
 // method name, the effective rates/horizon/sampling/unit, and the seed only
-// where it matters (stochastic methods and experiments — the ODE ignores
-// it). The second return value reports whether the response is deterministic
-// and therefore cacheable: ODE always, SSA/tau-leap only under an explicit
-// non-zero seed, experiments always (their tables are functions of
-// (id, quick, seed) by the batch engine's determinism guarantee).
+// where it matters (SSA and experiments — the ODE ignores it). The second
+// return value reports whether the response is deterministic and therefore
+// cacheable: ODE always, SSA only under an explicit non-zero seed,
+// experiments always (their tables are functions of (id, quick, seed) by the
+// batch engine's determinism guarantee).
 func canonicalKey(req *SimulateRequest, method sim.Method, solver sim.Solver, net *crn.Network) (string, bool) {
 	cfg := req.simConfig(method, solver)
 	canon := struct {
@@ -410,7 +410,11 @@ func (s *Server) runCRN(ctx context.Context, net *crn.Network, req *SimulateRequ
 		}
 		return nil, errf(http.StatusUnprocessableEntity, CodeSimFailed, "%v", err)
 	}
-	return shapeTrajectory(tr, method, req.Record)
+	names, cols, err := recordColumns(tr.Names, tr.Index, req.Record)
+	if err != nil {
+		return nil, err
+	}
+	return shapeTrajectory(tr, method, names, cols), nil
 }
 
 // stiffnessError recognizes an ODE step-size collapse — the signature of a
@@ -470,48 +474,19 @@ func (s *Server) runEnsemble(ctx context.Context, net *crn.Network, req *Simulat
 		}
 		return nil, errf(http.StatusUnprocessableEntity, CodeSimFailed, "%v", err)
 	}
-	return shapeEnsemble(ens, req, method, cfg)
-}
-
-// shapeEnsemble projects an ensemble's finals and across-run statistics onto
-// the response type, optionally restricted to the requested species.
-func shapeEnsemble(ens *trace.Ensemble, req *SimulateRequest, method sim.Method, cfg sim.Config) (*SimulateResponse, error) {
-	names := ens.Names
-	cols := make([]int, 0, len(names))
-	if len(req.Record) > 0 {
-		names = req.Record
-		for _, n := range req.Record {
-			i, ok := ens.Index(n)
-			if !ok {
-				return nil, errf(http.StatusBadRequest, CodeInvalidRequest,
-					"record species %q not in the network", n)
-			}
-			cols = append(cols, i)
-		}
-	} else {
-		for i := range names {
-			cols = append(cols, i)
-		}
-	}
-	project := func(row []float64) map[string]float64 {
-		if row == nil {
-			return nil
-		}
-		m := make(map[string]float64, len(cols))
-		for j, c := range cols {
-			m[names[j]] = row[c]
-		}
-		return m
+	names, cols, err := recordColumns(ens.Names, ens.Index, req.Record)
+	if err != nil {
+		return nil, err
 	}
 	sum := &EnsembleSummary{
 		Runs:   ens.Runs(),
 		OK:     ens.OK(),
 		PerRun: make([]RunSummary, ens.Runs()),
-		Mean:   project(ens.Mean()),
-		Stddev: project(ens.Stddev()),
+		Mean:   project(ens.Mean(), names, cols),
+		Stddev: project(ens.Stddev(), names, cols),
 	}
 	for i := range sum.PerRun {
-		rs := RunSummary{Seed: runSeed(req, cfg, i), Final: project(ens.Finals[i])}
+		rs := RunSummary{Seed: runSeed(req, cfg, i), Final: project(ens.Finals[i], names, cols)}
 		if ens.Errs[i] != nil {
 			rs.Err = ens.Errs[i].Error()
 		}
@@ -522,6 +497,43 @@ func shapeEnsemble(ens *trace.Ensemble, req *SimulateRequest, method sim.Method,
 		Species:  append([]string(nil), names...),
 		Ensemble: sum,
 	}, nil
+}
+
+// recordColumns resolves a request's record list against a result's species
+// columns, given their names and name lookup: the reported names and, in
+// the same order, their column indexes. An empty record reports every
+// species in column order; a name outside the network is a 400.
+func recordColumns(species []string, index func(string) (int, bool), record []string) ([]string, []int, error) {
+	if len(record) == 0 {
+		cols := make([]int, len(species))
+		for i := range cols {
+			cols[i] = i
+		}
+		return species, cols, nil
+	}
+	cols := make([]int, len(record))
+	for j, name := range record {
+		i, ok := index(name)
+		if !ok {
+			return nil, nil, errf(http.StatusBadRequest, CodeInvalidRequest,
+				"record species %q not in the network", name)
+		}
+		cols[j] = i
+	}
+	return record, cols, nil
+}
+
+// project maps a state row onto the recorded species by name; a nil row
+// (a failed run) projects to nil.
+func project(row []float64, names []string, cols []int) map[string]float64 {
+	if row == nil {
+		return nil
+	}
+	m := make(map[string]float64, len(cols))
+	for j, c := range cols {
+		m[names[j]] = row[c]
+	}
+	return m
 }
 
 // runSeed replicates sim.RunMany's per-run seed assignment so responses can
@@ -538,26 +550,9 @@ func runSeed(req *SimulateRequest, cfg sim.Config, i int) int64 {
 	return cfg.Seed
 }
 
-// shapeTrajectory projects a trace onto the response type, optionally
-// restricted to the requested species columns.
-func shapeTrajectory(tr *trace.Trace, method sim.Method, record []string) (*SimulateResponse, error) {
-	names := tr.Names
-	cols := make([]int, 0, len(names))
-	if len(record) > 0 {
-		names = record
-		for _, n := range record {
-			i, ok := tr.Index(n)
-			if !ok {
-				return nil, errf(http.StatusBadRequest, CodeInvalidRequest,
-					"record species %q not in the network", n)
-			}
-			cols = append(cols, i)
-		}
-	} else {
-		for i := range names {
-			cols = append(cols, i)
-		}
-	}
+// shapeTrajectory projects a trace onto the response type, restricted to
+// the recorded species columns.
+func shapeTrajectory(tr *trace.Trace, method sim.Method, names []string, cols []int) *SimulateResponse {
 	rows := make([][]float64, len(tr.Rows))
 	for k, row := range tr.Rows {
 		out := make([]float64, len(cols))
@@ -566,11 +561,9 @@ func shapeTrajectory(tr *trace.Trace, method sim.Method, record []string) (*Simu
 		}
 		rows[k] = out
 	}
-	final := make(map[string]float64, len(names))
-	for j, n := range names {
-		if len(rows) > 0 {
-			final[n] = rows[len(rows)-1][j]
-		}
+	var final map[string]float64
+	if len(tr.Rows) > 0 {
+		final = project(tr.Rows[len(tr.Rows)-1], names, cols)
 	}
 	return &SimulateResponse{
 		Method:  method.String(),
@@ -578,7 +571,7 @@ func shapeTrajectory(tr *trace.Trace, method sim.Method, record []string) (*Simu
 		T:       tr.T,
 		Rows:    rows,
 		Final:   final,
-	}, nil
+	}
 }
 
 // runExperiment executes a registered reproduction experiment and shapes its

@@ -91,9 +91,9 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			if ev.Kind == "job_done" {
 				return
 			}
-		case <-j.run.Done():
+		case <-j.done:
 			// Drain anything already buffered, then close out. The job_done
-			// event may race the Done channel; both exits are clean.
+			// event may race the done channel; both exits are clean.
 			for {
 				select {
 				case ev := <-sub.C:

@@ -1,10 +1,10 @@
 // Package kernel holds the compiled, allocation-free evaluation substrate
-// shared by all three simulation backends (ODE derivative, exact SSA,
-// tau-leaping). A crn.Network is an object graph built for construction
-// convenience; NewStructure flattens it once into CSR-style index arrays so
-// the per-step inner loops touch only dense slices — no maps, no nested
-// slice headers, no math.Pow — and every backend evaluates the *same*
-// kernel, so rate laws cannot drift apart between methods.
+// shared by both simulation backends (ODE derivative and exact SSA). A
+// crn.Network is an object graph built for construction convenience;
+// NewStructure flattens it once into CSR-style index arrays so the per-step
+// inner loops touch only dense slices — no maps, no nested slice headers, no
+// math.Pow — and every backend evaluates the *same* kernel, so rate laws
+// cannot drift apart between methods.
 //
 // Compilation is split in two phases so multi-run workloads pay the
 // expensive part once. NewStructure builds the rate-independent Structure
@@ -306,32 +306,15 @@ func classify(terms []crn.Term) (form int8, op1, op2 int32) {
 	}
 }
 
-// Propensity evaluates the stochastic propensity of reaction i given
-// molecule counts and the scaled rate table from StochRates. The
-// specialized forms rely on counts being non-negative integers (the
-// simulators clamp at zero), so no result clamp is needed; the general
-// fallback expands falling factorials by repeated multiplication — no
-// math.Pow, no division — and clamps defensively.
-func (c *Compiled) Propensity(i int, kscaled, counts []float64) float64 {
-	switch c.Form[i] {
-	case FormConst:
-		return kscaled[i]
-	case FormUni:
-		return kscaled[i] * counts[c.Op1[i]]
-	case FormBi:
-		return kscaled[i] * counts[c.Op1[i]] * counts[c.Op2[i]]
-	case FormDimer:
-		n := counts[c.Op1[i]]
-		return kscaled[i] * n * (n - 1)
-	}
-	return c.PropensityStrided(i, kscaled, counts, 1, 0)
-}
-
-// PropensityStrided is Propensity over lane-strided counts: species sp of
-// the lane lives at counts[sp*stride+lane]. The arithmetic is identical to
-// Propensity's — same operations in the same order — which is what keeps
-// ensemble lanes bit-identical at every block width. stride=1, lane=0
-// recovers the contiguous layout.
+// PropensityStrided evaluates the stochastic propensity of reaction i for
+// one lane of lane-strided molecule counts — species sp of the lane lives at
+// counts[sp*stride+lane] — given the scaled rate table from StochRates. The
+// arithmetic does not depend on stride or lane, which is what keeps ensemble
+// lanes bit-identical at every block width; stride=1, lane=0 reads a
+// contiguous count vector. The specialized forms rely on counts being
+// non-negative integers (the simulators clamp at zero), so no result clamp
+// is needed; the general fallback expands falling factorials by repeated
+// multiplication — no math.Pow, no division — and clamps defensively.
 func (c *Compiled) PropensityStrided(i int, kscaled, counts []float64, stride, lane int) float64 {
 	switch c.Form[i] {
 	case FormConst:

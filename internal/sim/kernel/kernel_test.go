@@ -110,14 +110,14 @@ func TestPropensityMatchesReference(t *testing.T) {
 				a *= (nm - float64(k)) / omega
 			}
 		}
-		got := c.Propensity(i, kscaled, counts)
+		got := c.PropensityStrided(i, kscaled, counts, 1, 0)
 		if math.Abs(got-a) > 1e-9*math.Max(1, a) {
 			t.Fatalf("reaction %d propensity = %g, want %g", i, got, a)
 		}
 	}
 	// Depleted bimolecular pair: falling(1,2) = 0.
 	counts[2] = 1
-	if got := c.Propensity(1, kscaled, counts); got != 0 {
+	if got := c.PropensityStrided(1, kscaled, counts, 1, 0); got != 0 {
 		t.Fatalf("falling(1,2) propensity = %g, want 0", got)
 	}
 }

@@ -3,8 +3,8 @@ package kernel
 import "math"
 
 // RNG is the simulator's random stream: a SplitMix64 generator with the
-// derived draws the stochastic backends need (uniforms, exponential waiting
-// times, normals for the tau-leap Poisson approximation).
+// derived draws the SSA needs (uniforms for reaction selection, exponential
+// waiting times).
 //
 // It replaces math/rand on the hot paths for two reasons. First, state is a
 // single uint64 and a step is three xor-shift-multiply lines, so an ensemble
@@ -16,30 +16,17 @@ import "math"
 // could not be embedded per lane without an allocation and an interface
 // call per draw.
 //
-// The zero value is a valid stream (the seed-0 stream); NewRNG(s) and
-// RNG{}.Seed(s) are equivalent.
+// The zero value is a valid stream (the seed-0 stream).
 type RNG struct {
 	s uint64
-
-	// Cached second variate of the last Box–Muller pair (NormFloat64).
-	norm    float64
-	hasNorm bool
 }
 
-// NewRNG returns the stream for the given seed. Distinct seeds — including
+// Seed resets the stream to the given seed. Distinct seeds — including
 // adjacent ones — give statistically independent streams: SplitMix64's
 // output function is a bijective avalanche over the counter, which is
 // exactly why batch.DeriveSeed uses the same finalizer.
-func NewRNG(seed int64) *RNG {
-	r := &RNG{}
-	r.Seed(seed)
-	return r
-}
-
-// Seed resets the stream to the given seed, discarding any cached normal.
 func (r *RNG) Seed(seed int64) {
 	r.s = uint64(seed)
-	r.norm, r.hasNorm = 0, false
 }
 
 // Uint64 advances the stream: the SplitMix64 step (Steele, Lea & Flood),
@@ -64,20 +51,4 @@ func (r *RNG) Float64() float64 {
 // scheduled.
 func (r *RNG) ExpFloat64() float64 {
 	return -math.Log(1 - r.Float64())
-}
-
-// NormFloat64 returns a standard normal draw (Box–Muller, pair-cached).
-// Only the tau-leap large-mean Poisson approximation uses normals, so the
-// transcendental cost is off the SSA hot path.
-func (r *RNG) NormFloat64() float64 {
-	if r.hasNorm {
-		r.hasNorm = false
-		return r.norm
-	}
-	u1 := 1 - r.Float64() // (0, 1]: keeps the log finite
-	u2 := r.Float64()
-	rad := math.Sqrt(-2 * math.Log(u1))
-	r.norm = rad * math.Sin(2*math.Pi*u2)
-	r.hasNorm = true
-	return rad * math.Cos(2*math.Pi*u2)
 }

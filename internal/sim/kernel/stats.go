@@ -2,11 +2,11 @@ package kernel
 
 // Stats counts kernel hot-path decisions during one simulation run: which
 // selector the SSA used and how often, how many exact propensity recomputes
-// the drift guard and event injections forced, which SSA pass ran,
-// and how many tau-leap steps were rejected and retried. The fields are
-// plain uint64s incremented by a single owner goroutine — a field increment
-// is the entire hot-path cost, so counting stays 0-alloc and branch-free
-// (asserted by TestSSAFiringAllocs).
+// the drift guard and event injections forced, which SSA pass ran, and how
+// full the ensemble blocks' lanes were. The fields are plain uint64s
+// incremented by a single owner goroutine — a field increment is the entire
+// hot-path cost, so counting stays 0-alloc and branch-free (asserted by
+// TestSSAFiringAllocs).
 //
 // A run's Stats are deterministic for a given seed: both SSA selectors
 // share every piece of floating-point bookkeeping, so a Fenwick run and a
@@ -18,7 +18,6 @@ type Stats struct {
 	ExactRecomputes uint64 // full propensity rebuilds (drift guard, events, resyncs)
 	TightLoops      uint64 // single SSA runs without hooks (the tight loop)
 	FullLoops       uint64 // single SSA runs with hooks: events, observer or watchers
-	LeapRejections  uint64 // tau-leap steps rolled back for driving counts negative
 
 	// Ensemble lane-occupancy counters, incremented by the SoA lane engine
 	// (internal/sim/ensemble). A block runs its lanes in round-robin macro
@@ -41,7 +40,6 @@ func (s *Stats) Add(o Stats) {
 	s.ExactRecomputes += o.ExactRecomputes
 	s.TightLoops += o.TightLoops
 	s.FullLoops += o.FullLoops
-	s.LeapRejections += o.LeapRejections
 	s.EnsembleBlocks += o.EnsembleBlocks
 	s.EnsemblePasses += o.EnsemblePasses
 	s.LaneSteps += o.LaneSteps

@@ -15,13 +15,11 @@ const (
 	ODE Method = iota
 	// SSA is Gillespie's exact stochastic simulation (direct method).
 	SSA
-	// TauLeap is accelerated stochastic simulation (explicit tau-leaping).
-	TauLeap
 )
 
-var methodNames = [...]string{ODE: "ode", SSA: "ssa", TauLeap: "tauleap"}
+var methodNames = [...]string{ODE: "ode", SSA: "ssa"}
 
-// String returns the canonical lower-case name ("ode", "ssa", "tauleap").
+// String returns the canonical lower-case name ("ode", "ssa").
 func (m Method) String() string {
 	if int(m) < len(methodNames) {
 		return methodNames[m]
@@ -30,7 +28,7 @@ func (m Method) String() string {
 }
 
 // Methods returns every valid method in declaration order.
-func Methods() []Method { return []Method{ODE, SSA, TauLeap} }
+func Methods() []Method { return []Method{ODE, SSA} }
 
 // MethodNames returns the canonical method names in declaration order —
 // ready for CLI usage strings.
@@ -43,17 +41,15 @@ func MethodNames() []string {
 }
 
 // ParseMethod maps a user-facing method name (case-insensitive, with the
-// common aliases "gillespie" for ssa and "tau"/"tau-leap" for tauleap; the
-// empty string selects ode) to its Method. Unknown names produce an error
-// listing the valid choices, so CLIs can surface it verbatim.
+// alias "gillespie" for ssa; the empty string selects ode) to its Method.
+// Unknown names produce an error listing the valid choices, so CLIs can
+// surface it verbatim.
 func ParseMethod(s string) (Method, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "ode":
 		return ODE, nil
 	case "ssa", "gillespie":
 		return SSA, nil
-	case "tauleap", "tau-leap", "tau":
-		return TauLeap, nil
 	}
 	return ODE, fmt.Errorf("sim: unknown method %q (valid methods: %s)",
 		s, strings.Join(MethodNames(), ", "))

@@ -114,8 +114,8 @@ type runItem struct {
 // watchers — are grouped by identical parameters and advanced in lane
 // blocks through internal/sim/ensemble, with per-lane SplitMix64 streams
 // keeping every lane bit-identical to a Run of the same seed (itself a
-// one-lane block). Everything else (ODE, tau-leap, observed/watched/
-// evented SSA runs) runs alone through Run with the shared kernel.
+// one-lane block). Everything else (ODE, observed/watched/evented SSA
+// runs) runs alone through Run with the shared kernel.
 //
 // Per-run failures are recorded in the ensemble's Errs slots (and reported
 // through OnResult); the returned error is non-nil only for configuration
@@ -380,7 +380,7 @@ func runLanedItem(ctx context.Context, it *runItem, n *crn.Network, names []stri
 // laneable reports whether a run may share an SoA block with other runs:
 // exact SSA with no events, observer or watchers. Those carry per-run
 // state, so a hooked SSA run is a one-lane block of its own, which Run
-// builds; ODE and tau-leap runs have no lanes at all.
+// builds; ODE runs have no lanes at all.
 func laneable(cfg Config) bool {
 	return cfg.Method == SSA && len(cfg.Events) == 0 && cfg.Obs == nil && len(cfg.Watchers) == 0
 }

@@ -67,9 +67,9 @@ func (r Rates) Validate() error {
 // c_i is k * Π [S_i]^c_i, and one "firing" moves the full stoichiometry, so
 // e.g. 2X -> Y contributes -2·k[X]² to d[X]/dt.
 //
-// The RHS is evaluated by the same compiled kernel the stochastic backends
-// use (CSR stoichiometry, integer powers by repeated multiplication — no
-// math.Pow), and one evaluation allocates nothing.
+// The RHS is evaluated by the same compiled kernel the SSA uses (CSR
+// stoichiometry, integer powers by repeated multiplication — no math.Pow),
+// and one evaluation allocates nothing.
 func Deriv(n *crn.Network, rates Rates) ode.Func {
 	k := kernel.Compile(n, rates.Of)
 	return func(_ float64, y, dydt []float64) {
@@ -177,21 +177,15 @@ type Config struct {
 	Solver Solver
 
 	// Unit is the system size Ω in molecules per concentration unit;
-	// required by the stochastic methods, ignored by ODE.
+	// required by SSA, ignored by ODE.
 	Unit float64
-	// Seed feeds the stochastic methods' RNG (deterministic for a given
-	// seed). The batch engine derives a per-job seed when this is zero.
+	// Seed feeds the SSA's RNG (deterministic for a given seed). The batch
+	// engine derives a per-job seed when this is zero.
 	Seed int64
 	// MaxFirings caps SSA reaction firings; 0 -> 50 million. A run that
 	// would need more to reach TEnd fails with an error wrapping
 	// ErrMaxFirings instead of returning a truncated trajectory.
 	MaxFirings int
-	// Epsilon is the tau-leap leap-condition parameter (Cao–Gillespie
-	// style); 0 selects 0.03.
-	Epsilon float64
-	// MaxLeaps caps tau-leap steps; 0 -> 10 million. A run that would need
-	// more to reach TEnd fails with an error wrapping ErrMaxLeaps.
-	MaxLeaps int
 
 	Events []*Event // optional injection events
 	// Obs receives instrumentation events: run start/end and step/firing
@@ -204,7 +198,7 @@ type Config struct {
 
 	// Kernel, when non-nil, additionally receives the run's kernel
 	// hot-path counters (selector choices, exact recomputes, loop-variant
-	// entries, tau-leap rejections) — reusing one sink across runs
+	// entries, lane occupancy) — reusing one sink across runs
 	// accumulates a sweep total. The same counters travel on
 	// obs.SimEnd.Kernel, but unlike Obs a Kernel sink does not hook the
 	// SSA run, so it is the only way to observe an unhooked run's counters.
@@ -249,10 +243,9 @@ func (e *ConfigError) Error() string {
 
 // Validate checks the configuration without running it, reporting every
 // invalid field in a *ConfigError. Zero values that select documented
-// defaults (SampleEvery, MaxFirings, Epsilon, MaxLeaps, the zero Rates,
-// the zero Method) are valid; explicit garbage — non-finite horizons,
-// negative caps, inverted rates, events on methods that cannot honour
-// them — is not. Run and RunMany validate internally; the method exists so
+// defaults (SampleEvery, MaxFirings, the zero Rates, the zero Method) are
+// valid; explicit garbage — non-finite horizons, negative caps, inverted
+// rates — is not. Run and RunMany validate internally; the method exists so
 // config-assembling front ends (the HTTP server, crnsim) can share one
 // check instead of duplicating limit logic.
 func (c Config) Validate() error {
@@ -261,7 +254,7 @@ func (c Config) Validate() error {
 		fields = append(fields, FieldError{Field: field, Msg: fmt.Sprintf(format, args...)})
 	}
 	switch c.Method {
-	case ODE, SSA, TauLeap:
+	case ODE, SSA:
 	default:
 		add("Method", "unknown method %d (valid methods: %v)", c.Method, MethodNames())
 	}
@@ -296,22 +289,13 @@ func (c Config) Validate() error {
 	if c.ODE.MinStep > 0 && c.ODE.MaxStep > 0 && c.ODE.MinStep > c.ODE.MaxStep {
 		add("ODE.MinStep", "must not exceed ODE.MaxStep, got %g > %g", c.ODE.MinStep, c.ODE.MaxStep)
 	}
-	if c.Method == SSA || c.Method == TauLeap {
+	if c.Method == SSA {
 		if !(c.Unit > 0) || math.IsInf(c.Unit, 0) {
 			add("Unit", "molecules per concentration unit must be positive and finite, got %g", c.Unit)
 		}
 	}
 	if c.MaxFirings < 0 {
 		add("MaxFirings", "must be non-negative, got %d", c.MaxFirings)
-	}
-	if c.Epsilon < 0 || c.Epsilon >= 1 || math.IsNaN(c.Epsilon) {
-		add("Epsilon", "leap-condition parameter must be in [0, 1), got %g", c.Epsilon)
-	}
-	if c.MaxLeaps < 0 {
-		add("MaxLeaps", "must be non-negative, got %d", c.MaxLeaps)
-	}
-	if c.Method == TauLeap && len(c.Events) > 0 {
-		add("Events", "injection events are not supported by tau-leaping (use ssa or ode)")
 	}
 	if len(fields) == 0 {
 		return nil
@@ -341,13 +325,6 @@ func (c Config) normalize() (Config, error) {
 		if c.MaxFirings == 0 {
 			c.MaxFirings = 50_000_000
 		}
-	case TauLeap:
-		if c.Epsilon == 0 {
-			c.Epsilon = 0.03
-		}
-		if c.MaxLeaps == 0 {
-			c.MaxLeaps = 10_000_000
-		}
 	}
 	return c, nil
 }
@@ -357,10 +334,9 @@ func (c Config) normalize() (Config, error) {
 // every method, so traces are directly comparable across methods).
 //
 // Run honours ctx: cancellation or deadline expiry interrupts the step loop
-// (the ODE integrator polls every 256 steps, the SSA every 2048 firings,
-// tau-leaping every 64 leaps) and the returned error wraps ctx.Err()
-// together with the simulated time reached. A nil ctx behaves like
-// context.Background().
+// (the ODE integrator polls every 256 steps, the SSA every 2048 firings)
+// and the returned error wraps ctx.Err() together with the simulated time
+// reached. A nil ctx behaves like context.Background().
 //
 // When ctx carries a span (span.FromContext), Run opens a child span named
 // "sim.<method>" covering the whole run, attributed with the network size
@@ -399,14 +375,10 @@ func Run(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, error) 
 
 // runMethod dispatches the normalized config to its backend.
 func runMethod(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, error) {
-	switch cfg.Method {
-	case SSA:
+	if cfg.Method == SSA {
 		return runSSA(ctx, n, cfg)
-	case TauLeap:
-		return runTauLeap(ctx, n, cfg)
-	default:
-		return runODE(ctx, n, cfg)
 	}
+	return runODE(ctx, n, cfg)
 }
 
 // reactionNames returns display names for every reaction: the registered
@@ -442,16 +414,16 @@ func startRun(n *crn.Network, sim string, tEnd float64, o obs.Observer, watchers
 	return sink, time.Now(), nil
 }
 
-// endRunStats flushes watchers and emits the SimEnd event carrying the
-// run's kernel hot-path counters.
-func endRunStats(sim string, t float64, steps int, o obs.Observer, sink obs.Observer,
-	watchers []obs.Watcher, start time.Time, runErr error, ks kernel.Stats) {
-	obs.FinishAll(watchers, t, sink)
+// endRun flushes watchers at e.T and emits the SimEnd event e — which
+// carries the backend's counters — completed with the run's wall-clock
+// duration and error.
+func endRun(e obs.SimEnd, o obs.Observer, sink obs.Observer, watchers []obs.Watcher,
+	start time.Time, runErr error) {
+	obs.FinishAll(watchers, e.T, sink)
 	if o == nil {
 		return
 	}
-	e := obs.SimEnd{Sim: sim, T: t, Steps: steps,
-		WallSeconds: time.Since(start).Seconds(), Kernel: kernelStats(ks)}
+	e.WallSeconds = time.Since(start).Seconds()
 	if runErr != nil {
 		e.Err = runErr.Error()
 	}
@@ -467,7 +439,6 @@ func kernelStats(ks kernel.Stats) obs.KernelStats {
 		ExactRecomputes: ks.ExactRecomputes,
 		TightLoops:      ks.TightLoops,
 		FullLoops:       ks.FullLoops,
-		LeapRejections:  ks.LeapRejections,
 		EnsembleBlocks:  ks.EnsembleBlocks,
 		EnsemblePasses:  ks.EnsemblePasses,
 		LaneSteps:       ks.LaneSteps,
@@ -488,22 +459,6 @@ func newKernelJac(k *kernel.Compiled) kernelJac { return kernelJac{k: k, j: k.Ja
 func (a kernelJac) Dim() int                          { return a.j.Dim() }
 func (a kernelJac) Pattern() (colPtr, rowIdx []int32) { return a.j.Pattern() }
 func (a kernelJac) Fill(_ float64, y, nz []float64)   { a.j.Fill(a.k, y, nz) }
-
-// endRunODE flushes watchers and emits the SimEnd event carrying the ODE
-// backend's solver decision and effort counters.
-func endRunODE(t float64, steps int, o obs.Observer, sink obs.Observer,
-	watchers []obs.Watcher, start time.Time, runErr error, os obs.ODEStats) {
-	obs.FinishAll(watchers, t, sink)
-	if o == nil {
-		return
-	}
-	e := obs.SimEnd{Sim: "ode", T: t, Steps: steps,
-		WallSeconds: time.Since(start).Seconds(), ODE: os}
-	if runErr != nil {
-		e.Err = runErr.Error()
-	}
-	o.OnSimEnd(e)
-}
 
 // runODE is the deterministic backend of Run; cfg has been normalized and
 // the network validated. The Solver knob picks the integrator: explicit
@@ -587,8 +542,9 @@ func runODE(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, erro
 	odeStats.Solves = stats.Solves
 	odeStats.Rejected = stats.Rejected
 	odeStats.Evals = stats.Evals
+	end := obs.SimEnd{Sim: "ode", T: tr.End(), Steps: stats.Accepted, ODE: odeStats}
 	if err != nil {
-		endRunODE(tr.End(), stats.Accepted, cfg.Obs, sink, cfg.Watchers, startWall, err, odeStats)
+		endRun(end, cfg.Obs, sink, cfg.Watchers, startWall, err)
 		return nil, err
 	}
 	if tr.End() < cfg.TEnd {
@@ -596,6 +552,7 @@ func runODE(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, erro
 			return nil, err
 		}
 	}
-	endRunODE(cfg.TEnd, stats.Accepted, cfg.Obs, sink, cfg.Watchers, startWall, nil, odeStats)
+	end.T = cfg.TEnd
+	endRun(end, cfg.Obs, sink, cfg.Watchers, startWall, nil)
 	return tr, nil
 }

@@ -331,10 +331,9 @@ func TestSSARunEvent(t *testing.T) {
 	}
 }
 
-// TestRunBudgetExhausted pins that running out of MaxFirings (SSA) or
-// MaxLeaps (tau-leap) before TEnd is an error wrapping ErrMaxFirings or
-// ErrMaxLeaps, from Run and in RunMany's per-run slots, never a truncated
-// trajectory with a TEnd row holding the state at the cap.
+// TestRunBudgetExhausted pins that running out of MaxFirings before TEnd is
+// an error wrapping ErrMaxFirings, from Run and in RunMany's per-run slots,
+// never a truncated trajectory with a TEnd row holding the state at the cap.
 func TestRunBudgetExhausted(t *testing.T) {
 	n := crn.NewNetwork()
 	n.R("decay", map[string]int{"X": 1}, nil, crn.Slow)
@@ -351,7 +350,6 @@ func TestRunBudgetExhausted(t *testing.T) {
 	}{
 		{"ssa", ssa, ErrMaxFirings},
 		{"ssa/hooked", hooked, ErrMaxFirings},
-		{"tauleap", Config{Method: TauLeap, TEnd: 5, Unit: 1000, Seed: 1, MaxLeaps: 3}, ErrMaxLeaps},
 	} {
 		tr, err := Run(context.Background(), n, c.cfg)
 		if !errors.Is(err, c.want) || tr != nil {

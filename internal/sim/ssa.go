@@ -93,7 +93,8 @@ func runSSA(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, erro
 		if err != nil {
 			end = h.t
 		}
-		endRunStats("ssa", end, fired, cfg.Obs, h.sink, cfg.Watchers, startWall, err, *stats)
+		endRun(obs.SimEnd{Sim: "ssa", T: end, Steps: fired, Kernel: kernelStats(*stats)},
+			cfg.Obs, h.sink, cfg.Watchers, startWall, err)
 	}
 	return tr, err
 }

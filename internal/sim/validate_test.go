@@ -27,7 +27,6 @@ func TestConfigValidate(t *testing.T) {
 	for _, cfg := range []Config{
 		{TEnd: 10},
 		{Method: SSA, TEnd: 10, Unit: 100},
-		{Method: TauLeap, TEnd: 10, Unit: 100},
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
@@ -47,8 +46,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative sampling", Config{TEnd: 1, SampleEvery: -1}, []string{"SampleEvery"}},
 		{"ssa without unit", Config{Method: SSA, TEnd: 1}, []string{"Unit"}},
 		{"negative firings cap", Config{TEnd: 1, MaxFirings: -1}, []string{"MaxFirings"}},
-		{"epsilon out of range", Config{TEnd: 1, Epsilon: 1.5}, []string{"Epsilon"}},
-		{"tauleap events", Config{Method: TauLeap, TEnd: 1, Unit: 10, Events: []*Event{{}}}, []string{"Events"}},
 		{"several at once", Config{Method: SSA, TEnd: -3, MaxFirings: -1}, []string{"TEnd", "Unit", "MaxFirings"}},
 	}
 	for _, tc := range cases {

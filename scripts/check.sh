@@ -6,6 +6,14 @@ set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
 
+# Formatting gate: gofmt must have nothing to rewrite in the main module's
+# Go files.
+unformatted=$(gofmt -l internal cmd examples *.go)
+if [ -n "$unformatted" ]; then
+  echo "check.sh: gofmt would rewrite: $unformatted" >&2
+  exit 1
+fi
+
 # The old sequential entry points (the per-method Run wrappers) are gone:
 # single runs go through the context-aware sim.Run, multi-run workloads
 # through sim.RunMany. Nothing — tests and the sim package included — may
@@ -19,9 +27,9 @@ fi
 # The batch engine, the HTTP server and the span tracer are the repo's
 # concurrency hot spots: run them twice under the race detector before
 # everything else so scheduling-order bugs surface fast. The kernel package
-# joins them doubled because every simulator backend now leans on its
-# compiled networks and Fenwick index — a latent bug there corrupts all
-# three methods at once.
+# joins them doubled because both simulators lean on its compiled networks
+# (the ODE's derivative and Jacobian, the SSA's propensities and Fenwick
+# index) — a latent bug there corrupts both methods at once.
 go test -race -count=2 -timeout 10m ./internal/sim/kernel/
 # The Rosenbrock integrator owns mutable factor/workspace buffers reused
 # across steps; doubled -race guards the stiff path the same way (its tests
@@ -57,9 +65,6 @@ go test -race -timeout 10m -run 'SSE|Stream|Events|Tracez' ./internal/server/
 # listener and asserts resource attribution lands in /metrics.
 go test -race -timeout 10m -run 'DebugHandler' ./internal/server/
 go test -race -timeout 10m -run 'EndToEnd|Debug' ./cmd/crnserved/
-
-# Loadgen smoke: the traffic generator against an in-process server.
-go test -race -timeout 10m ./cmd/loadgen/
 
 # Benchmark smoke: one iteration of every benchmark. Catches bit-rot in the
 # benchmark code (and in the scripts/bench.sh regression set) without paying
