@@ -102,10 +102,9 @@ func BenchmarkODEClockCycle(b *testing.B) {
 
 // BenchmarkODEClockCycleInstrumented is BenchmarkODEClockCycle with the full
 // observability stack attached — a RegistryObserver plus the clock's edge and
-// phase watchers. The delta against the nil-observer benchmark is the
-// instrumentation overhead; the nil path itself must stay within a few
-// percent of the pre-instrumentation baseline (the per-step cost of the nil
-// check is one predictable branch).
+// phase watchers. The observer sees only the run's start and end, so the
+// delta against the unobserved benchmark is the cost of the watchers, which
+// read the state at every accepted step.
 func BenchmarkODEClockCycleInstrumented(b *testing.B) {
 	n := crn.NewNetwork()
 	s := phases.NewScheme(n, "ph")
@@ -147,12 +146,33 @@ func BenchmarkSSAClock(b *testing.B) {
 	}
 }
 
+// BenchmarkSSAClockObserved is BenchmarkSSAClock with only the
+// RegistryObserver a served /v1/simulate request attaches. The observer sees
+// the run's start and end, never a firing, so the run takes the same tight
+// loop and must cost the same within noise; scripts/observe_cost.sh runs
+// the two in alternating pairs.
+func BenchmarkSSAClockObserved(b *testing.B) {
+	n := buildClockNet(b)
+	reg := obs.NewRegistry()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(context.Background(), n, sim.Config{Method: sim.SSA,
+			Rates: sim.Rates{Fast: 300, Slow: 1}, TEnd: 20, Unit: 100, Seed: int64(i + 1),
+			Obs: obs.NewRegistryObserver(reg),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSSAClockInstrumented is BenchmarkSSAClock with the observability
-// stack of a served /v1/simulate request attached — a RegistryObserver plus
-// the clock's edge and phase watchers. Those carry per-run state, so the
-// run is a hooked one-lane block: the engine calls the observer after every
-// firing and the watchers after every sample. The delta against
-// BenchmarkSSAClock is the cost of the hooks.
+// stack of a watched sweep point attached — a RegistryObserver plus the
+// clock's edge and phase watchers. The watchers carry per-run state, so the
+// run is a hooked one-lane block: the engine takes its rare path after
+// every firing and calls the watchers after every sample. The delta against
+// BenchmarkSSAClock is the cost of the hooks; an observer alone, as on a
+// served /v1/simulate request, does not hook the run.
 func BenchmarkSSAClockInstrumented(b *testing.B) {
 	n := crn.NewNetwork()
 	s := phases.NewScheme(n, "ph")

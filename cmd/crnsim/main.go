@@ -55,7 +55,6 @@ type options struct {
 	events  string // JSONL event log path ("" = off)
 	metrics string // Prometheus text exposition path
 	traces  string // OTLP/JSON trace export path ("" = off)
-	steps   bool   // include per-step records in the event log
 	prog    bool   // progress lines on stderr
 	timeout time.Duration
 }
@@ -74,7 +73,6 @@ func main() {
 	flag.StringVar(&o.events, "events", "", "write a JSONL event log (sim lifecycle, clock edges, phase changes) to this file")
 	flag.StringVar(&o.metrics, "metrics", "", "write Prometheus-style metrics exposition to this file")
 	flag.StringVar(&o.traces, "trace-json", "", "write an OTLP/JSON trace of the run (root + sim spans with clock events) to this file")
-	flag.BoolVar(&o.steps, "trace-steps", false, "include per-step records in the -events log (large!)")
 	flag.BoolVar(&o.prog, "progress", false, "print progress lines to stderr while simulating")
 	flag.DurationVar(&o.timeout, "timeout", 0, "abort the simulation after this wall-clock duration (0 = none)")
 	cons := flag.Bool("conserved", false, "print the network's conservation laws and exit")
@@ -176,21 +174,25 @@ func run(ctx context.Context, path string, o options) (err error) {
 			}
 		}()
 		jsonl = obs.NewJSONL(f)
-		jsonl.LogSteps = o.steps
-		jsonl.LogFirings = o.steps
 		sinks = append(sinks, jsonl)
 	}
 	if o.metrics != "" {
 		reg = obs.NewRegistry()
 		sinks = append(sinks, obs.NewRegistryObserver(reg))
 	}
+	var progress *obs.Progress
 	if o.prog {
-		sinks = append(sinks, &obs.Progress{W: os.Stderr})
+		progress = &obs.Progress{W: os.Stderr}
+		sinks = append(sinks, progress)
 	}
 	observer := obs.Multi(sinks...)
 	var watchers []obs.Watcher
 	if observer != nil || o.traces != "" {
 		watchers = sim.AutoWatchers(net)
+	}
+	if progress != nil {
+		// Progress prints its milestones from the samples it watches.
+		watchers = append(watchers, progress)
 	}
 
 	// Offline tracing: mint a root span covering the whole invocation and

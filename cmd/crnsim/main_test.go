@@ -185,7 +185,7 @@ func TestEventsAndMetrics(t *testing.T) {
 		}
 	}
 	text := string(mb)
-	for _, want := range []string{"ode_steps_accepted_total", "ode_step_size_bucket", `clock_edges_total{species="`, "sim_wall_seconds"} {
+	for _, want := range []string{`sim_steps_total{sim="ode"}`, "ode_steps_rejected_total", `clock_edges_total{dir="rise"}`, "phase_changes_total", "sim_wall_seconds"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}

@@ -84,12 +84,10 @@ func main() {
 	if *metrics != "" {
 		reg = obs.NewRegistry()
 		cfg.Metrics = reg
-		// The registry observer is stateful per run, so it only feeds
-		// sequential execution; parallel pools report through per-worker
-		// shards merged into cfg.Metrics instead.
-		if *parallel == 1 {
-			cfg.Obs = obs.NewRegistryObserver(reg)
-		}
+		// Grid jobs report through per-worker shards merged into
+		// cfg.Metrics; every other run through this observer, which keeps
+		// no per-run state and so may be shared by concurrent runs.
+		cfg.Obs = obs.NewRegistryObserver(reg)
 	}
 
 	failed := false

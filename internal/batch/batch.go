@@ -34,10 +34,10 @@ import (
 )
 
 // Point identifies one job handed to a Func: its index in the job set, the
-// worker executing it, the seed derived for it, and the per-job observer
-// (nil unless Options.Metrics is set). Obs is freshly created for every job
-// and writes to the executing worker's registry shard, so the Func may pass
-// it straight into a simulator config without any locking concerns.
+// worker executing it, the seed derived for it, and an observer writing to
+// the executing worker's registry shard (nil unless Options.Metrics is set).
+// The observer is stateless, so the Func may pass it straight into a
+// simulator config without any locking concerns.
 type Point struct {
 	Index  int
 	Worker int
@@ -178,6 +178,9 @@ func Run(ctx context.Context, jobs int, fn Func, opts Options) (*Report, error) 
 				cpuC    *obs.Counter
 				nallocC *obs.Counter
 				ballocC *obs.Counter
+				// pointObs is a plain obs.Observer so a nil observer
+				// stays a nil interface in Point.
+				pointObs obs.Observer
 			)
 			if shard != nil {
 				jobsC = shard.Counter(obs.Label("batch_jobs_total", "worker", fmt.Sprintf("w%d", w)))
@@ -186,6 +189,7 @@ func Run(ctx context.Context, jobs int, fn Func, opts Options) (*Report, error) 
 				cpuC = shard.Counter(obs.Label("job_cpu_seconds", "kind", "batch"))
 				nallocC = shard.Counter(obs.Label("job_allocs_total", "kind", "batch"))
 				ballocC = shard.Counter(obs.Label("job_alloc_bytes_total", "kind", "batch"))
+				pointObs = obs.NewRegistryObserver(shard)
 			}
 			for q := range queue {
 				if poolCtx.Err() != nil {
@@ -198,12 +202,7 @@ func Run(ctx context.Context, jobs int, fn Func, opts Options) (*Report, error) 
 				if waitH != nil {
 					waitH.Observe(wait)
 				}
-				p := Point{Index: q.idx, Worker: w, Seed: DeriveSeed(opts.Seed, q.idx)}
-				if shard != nil {
-					// One observer per job: RegistryObserver keeps per-run
-					// state and must not be shared across simulations.
-					p.Obs = obs.NewRegistryObserver(shard)
-				}
+				p := Point{Index: q.idx, Worker: w, Seed: DeriveSeed(opts.Seed, q.idx), Obs: pointObs}
 				jobCtx := poolCtx
 				var jobSpan *span.Span
 				if parent := span.FromContext(ctx); parent != nil {

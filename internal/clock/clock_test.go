@@ -165,25 +165,22 @@ func TestMeasureNeedsOscillation(t *testing.T) {
 // edges per phase species and a strictly R -> G -> B phase sequence.
 func TestWatchLive(t *testing.T) {
 	n, c := buildClock(t, 1)
-	reg := obs.NewRegistry()
-	var seq []string
-	rec := phaseRecorder{seq: &seq}
+	rec := clockRecorder{rises: map[string]int{}}
 	_, err := sim.Run(context.Background(), n, sim.Config{
 		Rates:    sim.Rates{Fast: 500, Slow: 1},
 		TEnd:     150,
-		Obs:      obs.Multi(obs.NewRegistryObserver(reg), rec),
+		Obs:      &rec,
 		Watchers: []obs.Watcher{c.Watch(), c.WatchPhases()},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
 	for _, sp := range []string{c.R, c.G, c.B} {
-		key := obs.Label("clock_edges_total", "species", sp, "dir", "rise")
-		if snap[key] < 3 {
-			t.Errorf("%s = %g, want >= 3 rising edges", key, snap[key])
+		if rec.rises[sp] < 3 {
+			t.Errorf("%s: %d rising edges, want >= 3", sp, rec.rises[sp])
 		}
 	}
+	seq := rec.seq
 	if len(seq) < 6 {
 		t.Fatalf("only %d phase changes: %v", len(seq), seq)
 	}
@@ -285,10 +282,18 @@ func TestHealthWatcherDetectsOverlapFault(t *testing.T) {
 	}
 }
 
-// phaseRecorder collects the To side of every phase change.
-type phaseRecorder struct {
+// clockRecorder counts rising edges per species and collects the To side
+// of every phase change.
+type clockRecorder struct {
 	obs.Base
-	seq *[]string
+	rises map[string]int
+	seq   []string
 }
 
-func (r phaseRecorder) OnPhaseChange(e obs.PhaseChange) { *r.seq = append(*r.seq, e.To) }
+func (r *clockRecorder) OnClockEdge(e obs.ClockEdge) {
+	if e.Rising {
+		r.rises[e.Species]++
+	}
+}
+
+func (r *clockRecorder) OnPhaseChange(e obs.PhaseChange) { r.seq = append(r.seq, e.To) }

@@ -61,7 +61,7 @@ func (c Config) batchOpts() batch.Options {
 	return batch.Options{Workers: c.workers(), Seed: c.Seed, Metrics: c.Metrics}
 }
 
-// pointObs picks the observer for one grid job: the engine's per-job shard
+// pointObs picks the observer for one grid job: the engine's shard
 // observer when Metrics is set, else — only when the pool is sequential —
 // the experiment-wide Obs. A per-run-stateful observer must never be shared
 // by concurrent simulations, so parallel pools without Metrics run bare.

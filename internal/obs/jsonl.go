@@ -14,18 +14,12 @@ import (
 //	{"event":"phase_change","t":13.9,"from":"R","to":"G"}
 //	{"event":"sim_end","sim":"ode","t":120,"steps":48210,"wall_seconds":0.21}
 //
-// Step and reaction-firing events are high-frequency and are suppressed
-// unless LogSteps / LogFirings is set. Writes are serialized internally; the
-// first write error is retained and reported by Err (subsequent events are
-// dropped).
+// Writes are serialized internally; the first write error is retained and
+// reported by Err (subsequent events are dropped).
 type JSONL struct {
-	LogSteps   bool
-	LogFirings bool
-
-	mu        sync.Mutex
-	enc       *json.Encoder
-	reactions []string
-	err       error
+	mu  sync.Mutex
+	enc *json.Encoder
+	err error
 }
 
 // NewJSONL returns a sink writing to w.
@@ -66,22 +60,6 @@ type jsonSimEnd struct {
 	Err         string  `json:"err,omitempty"`
 }
 
-type jsonStep struct {
-	Event      string  `json:"event"`
-	T          float64 `json:"t"`
-	H          float64 `json:"h"`
-	ErrNorm    float64 `json:"err_norm,omitempty"`
-	Accepted   bool    `json:"accepted"`
-	Propensity float64 `json:"propensity,omitempty"`
-}
-
-type jsonFiring struct {
-	Event    string  `json:"event"`
-	T        float64 `json:"t"`
-	Reaction string  `json:"reaction"`
-	Count    float64 `json:"count"`
-}
-
 type jsonClockEdge struct {
 	Event   string  `json:"event"`
 	T       float64 `json:"t"`
@@ -97,37 +75,10 @@ type jsonPhaseChange struct {
 	To    string  `json:"to"`
 }
 
-// OnSimStart writes a sim_start record and retains the reaction-name table
-// for firing events.
+// OnSimStart writes a sim_start record.
 func (j *JSONL) OnSimStart(e SimStart) {
-	j.mu.Lock()
-	j.reactions = e.Reactions
-	j.mu.Unlock()
 	j.emit(jsonSimStart{Event: "sim_start", Sim: e.Sim, T0: e.T0, T1: e.T1,
 		Species: e.Species, Reactions: e.Reactions})
-}
-
-// OnStep writes a step record when LogSteps is set.
-func (j *JSONL) OnStep(e Step) {
-	if !j.LogSteps {
-		return
-	}
-	j.emit(jsonStep{Event: "step", T: e.T, H: e.H, ErrNorm: e.ErrNorm,
-		Accepted: e.Accepted, Propensity: e.Propensity})
-}
-
-// OnReactionFiring writes a reaction_firing record when LogFirings is set.
-func (j *JSONL) OnReactionFiring(e ReactionFiring) {
-	if !j.LogFirings {
-		return
-	}
-	name := ""
-	j.mu.Lock()
-	if e.Reaction >= 0 && e.Reaction < len(j.reactions) {
-		name = j.reactions[e.Reaction]
-	}
-	j.mu.Unlock()
-	j.emit(jsonFiring{Event: "reaction_firing", T: e.T, Reaction: name, Count: e.Count})
 }
 
 // OnClockEdge writes a clock_edge record.

@@ -27,8 +27,6 @@ func TestJSONLEvents(t *testing.T) {
 	j := NewJSONL(&sb)
 	j.OnSimStart(SimStart{Sim: "ode", T0: 0, T1: 10,
 		Species: []string{"R", "G"}, Reactions: []string{"r1"}})
-	j.OnStep(Step{T: 1, H: 0.1, Accepted: true}) // suppressed: LogSteps off
-	j.OnReactionFiring(ReactionFiring{T: 1, Reaction: 0, Count: 1})
 	j.OnClockEdge(ClockEdge{T: 2, Species: "R", Rising: true, Level: 0.5})
 	j.OnPhaseChange(PhaseChange{T: 3, From: "red", To: "green"})
 	j.OnSimEnd(SimEnd{Sim: "ode", T: 10, Steps: 100, WallSeconds: 0.02})
@@ -59,30 +57,6 @@ func TestJSONLEvents(t *testing.T) {
 	}
 	if _, has := end["err"]; has {
 		t.Fatalf("clean run carries err field: %v", end)
-	}
-}
-
-func TestJSONLVerbose(t *testing.T) {
-	var sb strings.Builder
-	j := NewJSONL(&sb)
-	j.LogSteps = true
-	j.LogFirings = true
-	j.OnSimStart(SimStart{Sim: "ssa", Reactions: []string{"decay"}})
-	j.OnStep(Step{T: 1, H: 0.1, Accepted: true, Propensity: 3})
-	j.OnReactionFiring(ReactionFiring{T: 1, Reaction: 0, Count: 2})
-	j.OnReactionFiring(ReactionFiring{T: 2, Reaction: 7, Count: 1}) // unknown index
-	recs := decodeLines(t, sb.String())
-	if len(recs) != 4 {
-		t.Fatalf("got %d records", len(recs))
-	}
-	if recs[1]["event"] != "step" || recs[1]["propensity"] != float64(3) {
-		t.Fatalf("step = %v", recs[1])
-	}
-	if recs[2]["reaction"] != "decay" || recs[2]["count"] != float64(2) {
-		t.Fatalf("firing = %v", recs[2])
-	}
-	if recs[3]["reaction"] != "" {
-		t.Fatalf("out-of-range firing should have empty name: %v", recs[3])
 	}
 }
 

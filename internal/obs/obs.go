@@ -10,17 +10,16 @@
 // claims are watched while a simulation runs instead of reconstructed
 // post-hoc from a dense trace.Trace:
 //
-//   - Observer is the hook interface the simulators (sim.Run across all
-//     methods) and the ODE integrator (ode.Integrate) call into.
+//   - Observer receives run-level and semantic events: a run's start and
+//     end (SimEnd carries the step, kernel and solver counters), clock
+//     edges, phase changes and health alerts. It never sees individual
+//     steps or firings, so observing a run does not change how the
+//     simulator executes it.
 //   - Registry (registry.go) aggregates counters, gauges and histograms and
 //     renders them as Prometheus text exposition or a human summary.
 //   - JSONL (jsonl.go) streams events as JSON lines for offline analysis.
 //   - Watchers (watch.go) derive semantic events — clock edges, phase
 //     changes, absence-indicator duty cycles — from raw state samples.
-//
-// A nil Observer is the default everywhere and costs one predictable branch
-// per hot-loop iteration; see BenchmarkODEClockCycle vs
-// BenchmarkODEClockCycleInstrumented at the repository root.
 package obs
 
 import (
@@ -81,7 +80,7 @@ type KernelStats struct {
 	LinearSelects   uint64 // SSA firings selected via the linear scan
 	ExactRecomputes uint64 // full propensity rebuilds
 	TightLoops      uint64 // SSA runs without hooks (the tight loop)
-	FullLoops       uint64 // SSA runs with events, an observer or watchers
+	FullLoops       uint64 // SSA runs with events or watchers (the hooked loop)
 	EnsembleBlocks  uint64 // SoA ensemble blocks executed
 	EnsemblePasses  uint64 // macro passes over ensemble lanes
 	LaneSteps       uint64 // ensemble lane advances (active lanes over passes)
@@ -90,25 +89,6 @@ type KernelStats struct {
 
 // IsZero reports whether no kernel counter fired.
 func (k KernelStats) IsZero() bool { return k == KernelStats{} }
-
-// Step reports one integrator step or stochastic sampling step.
-type Step struct {
-	T        float64
-	H        float64 // step size (ODE) or waiting time (SSA)
-	ErrNorm  float64 // ODE error-control norm of the trial step; 0 otherwise
-	Accepted bool    // false for ODE error-control rejections
-	// Propensity is the total reaction propensity at the step (stochastic
-	// simulators only; 0 for the ODE).
-	Propensity float64
-}
-
-// ReactionFiring reports reaction firings: one event per firing under the
-// exact SSA.
-type ReactionFiring struct {
-	T        float64
-	Reaction int     // index into SimStart.Reactions
-	Count    float64 // firings represented by this event (>= 1)
-}
 
 // ClockEdge reports a Schmitt-triggered threshold crossing of a watched
 // species — the molecular clock's phase species rising into (Rising=true) or
@@ -143,15 +123,13 @@ type Alert struct {
 
 // Observer receives instrumentation events from the simulators. All methods
 // are called from the simulation goroutine; implementations that are shared
-// across concurrent simulations must synchronize internally (Registry does;
-// RegistryObserver, JSONL and Progress keep per-run state and must not be
-// shared by *concurrent* runs).
+// across concurrent simulations must synchronize internally (RegistryObserver
+// and JSONL do; Progress keeps per-run state and must not be shared by
+// *concurrent* runs).
 //
 // Embed Base to implement only a subset of the interface.
 type Observer interface {
 	OnSimStart(SimStart)
-	OnStep(Step)
-	OnReactionFiring(ReactionFiring)
 	OnClockEdge(ClockEdge)
 	OnPhaseChange(PhaseChange)
 	OnAlert(Alert)
@@ -161,13 +139,11 @@ type Observer interface {
 // Base is a no-op Observer for embedding.
 type Base struct{}
 
-func (Base) OnSimStart(SimStart)             {}
-func (Base) OnStep(Step)                     {}
-func (Base) OnReactionFiring(ReactionFiring) {}
-func (Base) OnClockEdge(ClockEdge)           {}
-func (Base) OnPhaseChange(PhaseChange)       {}
-func (Base) OnAlert(Alert)                   {}
-func (Base) OnSimEnd(SimEnd)                 {}
+func (Base) OnSimStart(SimStart)       {}
+func (Base) OnClockEdge(ClockEdge)     {}
+func (Base) OnPhaseChange(PhaseChange) {}
+func (Base) OnAlert(Alert)             {}
+func (Base) OnSimEnd(SimEnd)           {}
 
 // Nop is a ready-made no-op Observer, used by the simulators as the event
 // sink for watchers when no real observer is configured.
@@ -178,16 +154,6 @@ type multi []Observer
 func (m multi) OnSimStart(e SimStart) {
 	for _, o := range m {
 		o.OnSimStart(e)
-	}
-}
-func (m multi) OnStep(e Step) {
-	for _, o := range m {
-		o.OnStep(e)
-	}
-}
-func (m multi) OnReactionFiring(e ReactionFiring) {
-	for _, o := range m {
-		o.OnReactionFiring(e)
 	}
 }
 func (m multi) OnClockEdge(e ClockEdge) {
@@ -231,57 +197,61 @@ func Multi(obs ...Observer) Observer {
 	}
 }
 
-// Progress is an Observer that prints coarse progress lines (every Every
-// fraction of the simulated horizon, default 10%) to W — crnsim's -progress
-// flag. It keeps per-run state and must not be shared by concurrent runs.
+// Progress prints coarse progress lines (every Every fraction of the
+// simulated horizon, default 10%) to W — crnsim's -progress flag. It is an
+// Observer for the start and end lines and a Watcher for the milestones, so
+// it must be attached as both. It keeps per-run state and must not be
+// shared by concurrent runs.
 type Progress struct {
 	Base
 	W     io.Writer
 	Every float64 // fraction of the horizon between lines; default 0.1
 
-	t0, t1 float64
-	next   float64
-	steps  int
-	start  time.Time
+	t0, t1  float64
+	next    float64
+	samples int
+	start   time.Time
 }
 
 // OnSimStart resets the milestone tracker for a new run.
 func (p *Progress) OnSimStart(e SimStart) {
 	p.t0, p.t1 = e.T0, e.T1
-	every := p.Every
-	if every <= 0 {
-		every = 0.1
-	}
-	p.next = every
-	p.steps = 0
+	p.next = p.every()
+	p.samples = 0
 	p.start = time.Now()
 	fmt.Fprintf(p.W, "progress: %s start t=%g..%g (%d species, %d reactions)\n",
 		e.Sim, e.T0, e.T1, len(e.Species), len(e.Reactions))
 }
 
-// OnStep prints a line each time the run crosses a milestone fraction.
-func (p *Progress) OnStep(e Step) {
-	if !e.Accepted {
-		return
+func (p *Progress) every() float64 {
+	if p.Every <= 0 {
+		return 0.1
 	}
-	p.steps++
+	return p.Every
+}
+
+// Bind implements Watcher; progress reads no species.
+func (p *Progress) Bind([]string) error { return nil }
+
+// Observe prints a line each time the run crosses a milestone fraction.
+func (p *Progress) Observe(t float64, _ []float64, _ Observer) {
+	p.samples++
 	if p.t1 <= p.t0 {
 		return
 	}
-	frac := (e.T - p.t0) / (p.t1 - p.t0)
+	frac := (t - p.t0) / (p.t1 - p.t0)
 	if frac < p.next {
 		return
 	}
-	every := p.Every
-	if every <= 0 {
-		every = 0.1
-	}
 	for p.next <= frac {
-		p.next += every
+		p.next += p.every()
 	}
-	fmt.Fprintf(p.W, "progress: %3.0f%% t=%-10.4g steps=%-8d elapsed=%s\n",
-		100*frac, e.T, p.steps, time.Since(p.start).Round(time.Millisecond))
+	fmt.Fprintf(p.W, "progress: %3.0f%% t=%-10.4g samples=%-8d elapsed=%s\n",
+		100*frac, t, p.samples, time.Since(p.start).Round(time.Millisecond))
 }
+
+// Finish implements Watcher; OnSimEnd prints the closing line.
+func (p *Progress) Finish(float64, Observer) {}
 
 // OnSimEnd prints the closing summary line.
 func (p *Progress) OnSimEnd(e SimEnd) {

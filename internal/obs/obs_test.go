@@ -7,22 +7,18 @@ import (
 
 // recorder captures every event for assertions.
 type recorder struct {
-	starts  []SimStart
-	steps   []Step
-	firings []ReactionFiring
-	edges   []ClockEdge
-	phases  []PhaseChange
-	alerts  []Alert
-	ends    []SimEnd
+	starts []SimStart
+	edges  []ClockEdge
+	phases []PhaseChange
+	alerts []Alert
+	ends   []SimEnd
 }
 
-func (r *recorder) OnSimStart(e SimStart)             { r.starts = append(r.starts, e) }
-func (r *recorder) OnStep(e Step)                     { r.steps = append(r.steps, e) }
-func (r *recorder) OnReactionFiring(e ReactionFiring) { r.firings = append(r.firings, e) }
-func (r *recorder) OnClockEdge(e ClockEdge)           { r.edges = append(r.edges, e) }
-func (r *recorder) OnPhaseChange(e PhaseChange)       { r.phases = append(r.phases, e) }
-func (r *recorder) OnAlert(e Alert)                   { r.alerts = append(r.alerts, e) }
-func (r *recorder) OnSimEnd(e SimEnd)                 { r.ends = append(r.ends, e) }
+func (r *recorder) OnSimStart(e SimStart)       { r.starts = append(r.starts, e) }
+func (r *recorder) OnClockEdge(e ClockEdge)     { r.edges = append(r.edges, e) }
+func (r *recorder) OnPhaseChange(e PhaseChange) { r.phases = append(r.phases, e) }
+func (r *recorder) OnAlert(e Alert)             { r.alerts = append(r.alerts, e) }
+func (r *recorder) OnSimEnd(e SimEnd)           { r.ends = append(r.ends, e) }
 
 func TestMulti(t *testing.T) {
 	if Multi() != nil {
@@ -38,14 +34,13 @@ func TestMulti(t *testing.T) {
 	b := &recorder{}
 	m := Multi(a, nil, b)
 	m.OnSimStart(SimStart{Sim: "ode"})
-	m.OnStep(Step{T: 1, Accepted: true})
-	m.OnReactionFiring(ReactionFiring{Reaction: 2, Count: 1})
 	m.OnClockEdge(ClockEdge{Species: "R"})
 	m.OnPhaseChange(PhaseChange{To: "green"})
+	m.OnAlert(Alert{Rule: "period_jitter"})
 	m.OnSimEnd(SimEnd{Sim: "ode"})
 	for _, r := range []*recorder{a, b} {
-		if len(r.starts) != 1 || len(r.steps) != 1 || len(r.firings) != 1 ||
-			len(r.edges) != 1 || len(r.phases) != 1 || len(r.ends) != 1 {
+		if len(r.starts) != 1 || len(r.edges) != 1 || len(r.phases) != 1 ||
+			len(r.alerts) != 1 || len(r.ends) != 1 {
 			t.Fatalf("fan-out incomplete: %+v", r)
 		}
 	}
@@ -55,10 +50,9 @@ func TestBaseIsNop(t *testing.T) {
 	// Compile-time interface check plus a smoke call of every method.
 	var o Observer = Base{}
 	o.OnSimStart(SimStart{})
-	o.OnStep(Step{})
-	o.OnReactionFiring(ReactionFiring{})
 	o.OnClockEdge(ClockEdge{})
 	o.OnPhaseChange(PhaseChange{})
+	o.OnAlert(Alert{})
 	o.OnSimEnd(SimEnd{})
 	if Nop == nil {
 		t.Fatal("Nop is nil")
@@ -68,11 +62,15 @@ func TestBaseIsNop(t *testing.T) {
 func TestProgress(t *testing.T) {
 	var sb strings.Builder
 	p := &Progress{W: &sb, Every: 0.5}
+	var _ Watcher = p
 	p.OnSimStart(SimStart{Sim: "ode", T0: 0, T1: 10, Species: []string{"X"}})
-	for _, tm := range []float64{1, 2, 5, 6, 9, 10} {
-		p.OnStep(Step{T: tm, Accepted: true})
+	if err := p.Bind([]string{"X"}); err != nil {
+		t.Fatal(err)
 	}
-	p.OnStep(Step{T: 10, Accepted: false}) // rejections are not progress
+	for _, tm := range []float64{1, 2, 5, 6, 9, 10} {
+		p.Observe(tm, []float64{0}, Nop)
+	}
+	p.Finish(10, Nop)
 	p.OnSimEnd(SimEnd{Sim: "ode", T: 10, Steps: 6, WallSeconds: 0.01})
 	out := sb.String()
 	if !strings.Contains(out, "ode start t=0..10") {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing float64, safe for concurrent use.
@@ -68,17 +67,6 @@ type Histogram struct {
 	n      uint64
 }
 
-// DefaultStepBuckets spans the step sizes seen across the repository's
-// simulations: decades from 1e-9 to 10 with a 1-2-5 subdivision.
-func DefaultStepBuckets() []float64 {
-	var b []float64
-	for e := -9; e <= 1; e++ {
-		p := math.Pow(10, float64(e))
-		b = append(b, p, 2*p, 5*p)
-	}
-	return b
-}
-
 func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
@@ -134,7 +122,7 @@ func (h *Histogram) snapshot() (bounds []float64, cum []uint64, sum float64, n u
 
 // Registry is a concurrency-safe collection of named metrics. Metric names
 // follow the Prometheus convention and may carry labels rendered inline,
-// e.g. `reaction_firings_total{reaction="xfer.rg"}` (see Label). All methods
+// e.g. `sim_runs_total{sim="ode"}` (see Label). All methods
 // are safe for concurrent use; the metric handles they return are cheap to
 // cache and themselves safe for concurrent use.
 type Registry struct {
@@ -537,15 +525,14 @@ func equalBounds(a, b []float64) bool {
 }
 
 // RegistryObserver adapts a Registry into an Observer: it translates the
-// simulators' event stream into the standard metric families
+// simulators' run-level and semantic events into the standard metric
+// families
 //
 //	sim_runs_total{sim=}            runs started
 //	sim_steps_total{sim=}           accepted steps / firings
 //	sim_errors_total{sim=}          failed runs
 //	sim_wall_seconds{sim=}          wall-clock duration of the last run
-//	ode_steps_accepted_total        accepted integrator steps
 //	ode_steps_rejected_total        error-control rejections
-//	ode_step_size                   histogram of accepted step sizes
 //	ode_solver_runs_total{solver=}  ODE runs per requested solver
 //	ode_stiff_switches_total        auto runs that handed off to stiff
 //	ode_stiff_switch_t              simulated time of the last handoff
@@ -553,10 +540,9 @@ func equalBounds(a, b []float64) bool {
 //	ode_stiff_jacobians_total       analytic Jacobian refills
 //	ode_stiff_factorizations_total  LU factorizations of the shifted matrix
 //	ode_stiff_solves_total          triangular backsolves
-//	stoch_propensity_total          histogram of total propensity per step
-//	reaction_firings_total{reaction=}  per-reaction firing counts
-//	clock_edges_total{species=,dir=}   Schmitt-trigger edge counts
-//	phase_changes_total{to=}           dominant-phase transitions
+//	clock_edges_total{dir=}         Schmitt-trigger edge counts
+//	phase_changes_total             dominant-phase transitions
+//	clock_alerts_total{rule=}       clock-health alerts
 //
 // and, for stochastic runs, the kernel hot-path counter families
 //
@@ -568,19 +554,13 @@ func equalBounds(a, b []float64) bool {
 //	kernel_ensemble_lane_steps_total   ensemble lane advances executed
 //	kernel_ensemble_lane_slots_total   ensemble lane slots available
 //
-// It keeps per-run state (the reaction-name table) and must not be shared by
-// concurrent simulations; the Registry it writes to may be.
+// Every count comes from SimEnd or a semantic event and every label value
+// is drawn from a fixed set, so the series count does not grow with the
+// networks a server sees; per-species detail stays on span events, the SSE
+// stream and the JSONL log. It keeps no per-run state, so one observer may
+// serve concurrent simulations.
 type RegistryObserver struct {
 	R *Registry
-
-	sim       string
-	start     time.Time
-	reactions []string
-	rxCounter []*Counter // lazily resolved per reaction index
-	accepted  *Counter
-	rejected  *Counter // nil for the SSA, which never rejects a step
-	stepHist  *Histogram
-	propHist  *Histogram
 }
 
 // NewRegistryObserver returns an observer recording into r.
@@ -588,71 +568,23 @@ func NewRegistryObserver(r *Registry) *RegistryObserver {
 	return &RegistryObserver{R: r}
 }
 
-// OnSimStart caches the per-run metric handles.
+// OnSimStart counts the run.
 func (o *RegistryObserver) OnSimStart(e SimStart) {
-	o.sim = e.Sim
-	o.start = time.Now()
-	o.reactions = e.Reactions
-	o.rxCounter = make([]*Counter, len(e.Reactions))
 	o.R.Counter(Label("sim_runs_total", "sim", e.Sim)).Inc()
-	if e.Sim == "ode" {
-		o.accepted = o.R.Counter("ode_steps_accepted_total")
-		o.rejected = o.R.Counter("ode_steps_rejected_total")
-		o.stepHist = o.R.Histogram("ode_step_size", DefaultStepBuckets())
-		o.propHist = nil
-	} else {
-		o.accepted = o.R.Counter(Label("stoch_steps_total", "sim", e.Sim))
-		o.rejected = nil
-		o.stepHist = nil
-		o.propHist = o.R.Histogram("stoch_propensity_total", DefaultStepBuckets())
-	}
 }
 
-// OnStep accounts one accepted or rejected step.
-func (o *RegistryObserver) OnStep(e Step) {
-	if o.accepted == nil { // events outside a run; register lazily
-		o.OnSimStart(SimStart{Sim: "ode"})
-	}
-	if e.Accepted {
-		o.accepted.Inc()
-		if o.stepHist != nil {
-			o.stepHist.Observe(e.H)
-		}
-		if o.propHist != nil {
-			o.propHist.Observe(e.Propensity)
-		}
-	} else if o.rejected != nil {
-		o.rejected.Inc()
-	}
-}
-
-// OnReactionFiring accounts firings per reaction.
-func (o *RegistryObserver) OnReactionFiring(e ReactionFiring) {
-	var c *Counter
-	if e.Reaction >= 0 && e.Reaction < len(o.rxCounter) {
-		c = o.rxCounter[e.Reaction]
-		if c == nil {
-			c = o.R.Counter(Label("reaction_firings_total", "reaction", o.reactions[e.Reaction]))
-			o.rxCounter[e.Reaction] = c
-		}
-	} else {
-		c = o.R.Counter(Label("reaction_firings_total", "reaction", fmt.Sprintf("#%d", e.Reaction)))
-	}
-	c.Add(e.Count)
-}
-
-// OnClockEdge accounts threshold crossings per species and direction.
+// OnClockEdge accounts threshold crossings per direction.
 func (o *RegistryObserver) OnClockEdge(e ClockEdge) {
 	dir := "fall"
 	if e.Rising {
 		dir = "rise"
 	}
-	o.R.Counter(Label("clock_edges_total", "species", e.Species, "dir", dir)).Inc()
+	o.R.Counter(Label("clock_edges_total", "dir", dir)).Inc()
 }
 
 // OnPhaseChange accounts dominant-phase transitions.
-func (o *RegistryObserver) OnPhaseChange(e PhaseChange) {
-	o.R.Counter(Label("phase_changes_total", "to", e.To)).Inc()
+func (o *RegistryObserver) OnPhaseChange(PhaseChange) {
+	o.R.Counter("phase_changes_total").Inc()
 }
 
 // OnAlert accounts analyzer alerts per rule.
@@ -693,6 +625,7 @@ func (o *RegistryObserver) OnSimEnd(e SimEnd) {
 	}
 	if od := e.ODE; !od.IsZero() {
 		o.R.Counter(Label("ode_solver_runs_total", "solver", od.Solver)).Inc()
+		o.R.Counter("ode_steps_rejected_total").Add(float64(od.Rejected))
 		if od.Switched {
 			o.R.Counter("ode_stiff_switches_total").Inc()
 			o.R.Gauge("ode_stiff_switch_t").Set(od.SwitchT)
@@ -710,6 +643,4 @@ func (o *RegistryObserver) OnSimEnd(e SimEnd) {
 			o.R.Counter("ode_stiff_solves_total").Add(float64(od.Solves))
 		}
 	}
-	o.accepted, o.rejected, o.stepHist, o.propHist = nil, nil, nil, nil
-	o.reactions, o.rxCounter = nil, nil
 }

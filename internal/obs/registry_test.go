@@ -227,35 +227,46 @@ func TestRegistryObserver(t *testing.T) {
 	r := NewRegistry()
 	o := NewRegistryObserver(r)
 	o.OnSimStart(SimStart{Sim: "ssa", T0: 0, T1: 10,
-		Species: []string{"X"}, Reactions: []string{"decay", "grow"}})
-	o.OnStep(Step{T: 1, H: 0.5, Accepted: true, Propensity: 2})
-	o.OnStep(Step{T: 2, H: 0.5, Accepted: false})
-	o.OnReactionFiring(ReactionFiring{T: 1, Reaction: 0, Count: 1})
-	o.OnReactionFiring(ReactionFiring{T: 1.5, Reaction: 0, Count: 2})
-	o.OnReactionFiring(ReactionFiring{T: 1.6, Reaction: 99, Count: 1}) // out of range
+		Species: []string{"X", "Y"}, Reactions: []string{"decay", "grow"}})
 	o.OnClockEdge(ClockEdge{T: 3, Species: "X", Rising: true})
+	o.OnClockEdge(ClockEdge{T: 3.5, Species: "Y", Rising: true})
 	o.OnClockEdge(ClockEdge{T: 4, Species: "X", Rising: false})
 	o.OnPhaseChange(PhaseChange{T: 3, From: "", To: "red"})
-	o.OnSimEnd(SimEnd{Sim: "ssa", T: 10, Steps: 42, WallSeconds: 0.5, Err: "boom"})
+	o.OnPhaseChange(PhaseChange{T: 4, From: "red", To: "green"})
+	o.OnAlert(Alert{T: 5, Rule: "period_jitter", Subject: "X"})
+	o.OnSimEnd(SimEnd{Sim: "ssa", T: 10, Steps: 42, WallSeconds: 0.5, Err: "boom",
+		Kernel: KernelStats{FenwickSelects: 42, TightLoops: 1}})
+	o.OnSimStart(SimStart{Sim: "ode", T1: 10})
+	o.OnSimEnd(SimEnd{Sim: "ode", T: 10, Steps: 100,
+		ODE: ODEStats{Solver: "auto", Rejected: 7, Evals: 700}})
 
 	snap := r.Snapshot()
 	checks := map[string]float64{
-		`sim_runs_total{sim="ssa"}`:                 1,
-		`stoch_steps_total{sim="ssa"}`:              1,
-		"stoch_propensity_total_count":              1,
-		`reaction_firings_total{reaction="decay"}`:  3,
-		`reaction_firings_total{reaction="#99"}`:    1,
-		`clock_edges_total{species="X",dir="rise"}`: 1,
-		`clock_edges_total{species="X",dir="fall"}`: 1,
-		`phase_changes_total{to="red"}`:             1,
-		`sim_steps_total{sim="ssa"}`:                42,
-		`sim_wall_seconds{sim="ssa"}`:               0.5,
-		`sim_errors_total{sim="ssa"}`:               1,
+		`sim_runs_total{sim="ssa"}`:                1,
+		`clock_edges_total{dir="rise"}`:            2,
+		`clock_edges_total{dir="fall"}`:            1,
+		"phase_changes_total":                      2,
+		`clock_alerts_total{rule="period_jitter"}`: 1,
+		`sim_steps_total{sim="ssa"}`:               42,
+		`sim_wall_seconds{sim="ssa"}`:              0.5,
+		`sim_errors_total{sim="ssa"}`:              1,
+		`kernel_selects_total{mode="fenwick"}`:     42,
+		`kernel_ssa_loops_total{loop="tight"}`:     1,
+		`sim_runs_total{sim="ode"}`:                1,
+		`sim_steps_total{sim="ode"}`:               100,
+		`sim_wall_seconds{sim="ode"}`:              0,
+		"ode_steps_rejected_total":                 7,
+		`ode_solver_runs_total{solver="auto"}`:     1,
 	}
 	for k, v := range checks {
 		if snap[k] != v {
 			t.Errorf("Snapshot[%q] = %g, want %g", k, snap[k], v)
 		}
+	}
+	// Only the checked series exist: no label value comes from a species,
+	// reaction or phase name.
+	if len(snap) != len(checks) {
+		t.Errorf("registry holds %d series, want %d: %v", len(snap), len(checks), snap)
 	}
 }
 
@@ -319,21 +330,6 @@ func TestRegistryMergeMismatchedBuckets(t *testing.T) {
 	// dst's own 0.5 stays in bucket <=1; both src samples fold into +Inf.
 	if cum[0] != 1 || cum[1] != 1 || cum[2] != 3 {
 		t.Fatalf("cum = %v, want [1 1 3]", cum)
-	}
-}
-
-func TestDefaultStepBuckets(t *testing.T) {
-	b := DefaultStepBuckets()
-	if len(b) == 0 {
-		t.Fatal("empty bucket set")
-	}
-	for i := 1; i < len(b); i++ {
-		if b[i] <= b[i-1] {
-			t.Fatalf("buckets not strictly increasing at %d: %g <= %g", i, b[i], b[i-1])
-		}
-	}
-	if b[0] != 1e-9 || b[len(b)-1] != 50 {
-		t.Fatalf("bucket span [%g, %g]", b[0], b[len(b)-1])
 	}
 }
 

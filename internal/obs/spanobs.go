@@ -8,8 +8,8 @@ import (
 // events (clock edges, phase changes, alerts) become span events, and the
 // run's closing totals (steps, wall seconds, error) become span attributes —
 // so a single exported trace shows not just that a sim ran but what its
-// clockwork did. High-frequency step/firing events are not recorded (the
-// span caps its event list anyway; JSONL is the lossless channel).
+// clockwork did. The span caps its event list; JSONL is the lossless
+// channel.
 //
 // It keeps no state of its own; sharing rules follow the underlying Span,
 // which is safe for concurrent use.

@@ -138,9 +138,8 @@ func (s *Sub) Close() {
 // BrokerObserver adapts a Broker into an Observer: semantic simulation
 // events (clock edges, phase changes, alerts) are published as StreamEvents
 // tagged with Job, which is how a served sweep's per-point telemetry reaches
-// SSE clients. High-frequency step/firing events are deliberately not
-// forwarded. It is stateless and, unlike most observers, safe to share
-// across concurrent simulations.
+// SSE clients. It is stateless and safe to share across concurrent
+// simulations.
 type BrokerObserver struct {
 	Base
 	B   *Broker

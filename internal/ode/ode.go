@@ -9,8 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/obs"
 )
 
 // Func evaluates the derivative dy/dt at time t into dydt. Implementations
@@ -37,12 +35,6 @@ type Options struct {
 	// non-negative, but roundoff can produce tiny negative excursions
 	// that would feed back as negative rates; projection removes them.
 	NonNegative bool
-	// Obs receives step-level telemetry (accepted steps and error-control
-	// rejections, with step size and error norm). Nil — the default —
-	// disables instrumentation at the cost of one predictable branch per
-	// step. The integrator emits only obs.Step events; run-level events
-	// (SimStart/SimEnd) are the caller's responsibility.
-	Obs obs.Observer
 	// StiffDetect makes Integrate abandon the run with ErrStiff when the
 	// error controller shows the signature of stiffness — at least
 	// stiffRejects rejections inside a stiffWindow-step window while the
@@ -254,9 +246,6 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 			// Accept.
 			st.Accepted++
 			t += h
-			if o.Obs != nil {
-				o.Obs.OnStep(obs.Step{T: t, H: h, ErrNorm: errNorm, Accepted: true})
-			}
 			copy(y0, ynew)
 			if o.NonNegative {
 				for i := range y0 {
@@ -287,9 +276,6 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 			}
 		} else {
 			st.Rejected++
-			if o.Obs != nil {
-				o.Obs.OnStep(obs.Step{T: t, H: h, ErrNorm: errNorm, Accepted: false})
-			}
 			if o.StiffDetect && h < (t1-t0)*stiffHFrac {
 				winRejects++
 			}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-
-	"repro/internal/obs"
 )
 
 // Jacobian supplies the sparse ∂f/∂y of a Func to the stiff integrator. The
@@ -159,9 +157,6 @@ func (s *Stiff) Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 floa
 			t += h
 			st.T = t
 			jacStale = true
-			if o.Obs != nil {
-				o.Obs.OnStep(obs.Step{T: t, H: h, ErrNorm: errNorm, Accepted: true})
-			}
 			copy(y0, s.ynew)
 			if o.NonNegative {
 				for i := range y0 {
@@ -192,9 +187,6 @@ func (s *Stiff) Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 floa
 		} else {
 			st.Rejected++
 			retry = true
-			if o.Obs != nil {
-				o.Obs.OnStep(obs.Step{T: t, H: h, ErrNorm: errNorm, Accepted: false})
-			}
 			h *= fac
 		}
 	}

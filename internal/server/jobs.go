@@ -48,7 +48,7 @@ type JobRequest struct {
 	// Watch attaches the default semantic watchers (clock edges, dominant
 	// phase) to every sweep point; their events stream live over
 	// GET /v1/jobs/{id}/events and /v1/stream. Watched points carry per-run
-	// observers and therefore run one lane wide, outside shared blocks.
+	// watchers and therefore run one lane wide, outside shared blocks.
 	Watch bool `json:"watch,omitempty"`
 	// ClockHealth, when set, attaches the clock-health analyzer to every
 	// sweep point: phase overlap, indicator leakage, period jitter and duty

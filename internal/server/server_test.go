@@ -379,6 +379,7 @@ func TestSimulateErrors(t *testing.T) {
 		{"runs/seeds mismatch", SimulateRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Method: "ssa", Runs: 3, Seeds: []int64{1, 2}}, 400, CodeInvalidRequest},
 		{"unknown experiment", SimulateRequest{Experiment: "E99"}, 404, CodeNotFound},
 		{"unknown record species", SimulateRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Record: []string{"Z"}}, 400, CodeInvalidRequest},
+		{"trace too large", hugeTrace, 400, CodeInvalidRequest},
 	}
 	for _, c := range cases {
 		rec := do(t, s.Handler(), "POST", "/v1/simulate", c.body)
@@ -393,6 +394,85 @@ func TestSimulateErrors(t *testing.T) {
 		if got.Error.Message == "" {
 			t.Errorf("%s: empty error message", c.name)
 		}
+	}
+	// The job path bounds the trace the same way, at submit.
+	rec := do(t, s.Handler(), "POST", "/v1/jobs", hugeTrace)
+	if rec.Code != 400 || decode[errorBody](t, rec).Error.Code != CodeInvalidRequest {
+		t.Errorf("job with a too-large trace: status %d (%s), want 400 %s", rec.Code, rec.Body.String(), CodeInvalidRequest)
+	}
+}
+
+// hugeTrace asks for 1e16 sample rows, past sim.MaxTraceCells; the body is
+// valid for both /v1/simulate and /v1/jobs.
+const hugeTrace = `{"crn":"init X = 1\nX -> Y : slow","t_end":1e6,"sample_every":1e-10}`
+
+// seriesCount counts the sample lines of the /metrics exposition.
+func seriesCount(t *testing.T, s *Server) int {
+	t.Helper()
+	n := 0
+	for _, line := range strings.Split(metricsText(t, s), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMetricsSeriesBounded pins that /metrics does not grow with the
+// networks the server sees: SSA requests and watched SSA jobs over networks
+// that differ only in species and reaction names leave as many series
+// after 20 rounds as after 5. Per-species detail lives on spans, the event
+// stream and the JSONL log, not in metric labels.
+func TestMetricsSeriesBounded(t *testing.T) {
+	s := New(Config{Workers: 1})
+	metricsText(t, s) // a scrape counts itself from the second one on
+	var after5 int
+	for i := 1; i <= 20; i++ {
+		text := fmt.Sprintf("init A%d = 1\nA%d -> B%d : slow\nB%d -> C%d : slow\n", i, i, i, i, i)
+		rec := do(t, s.Handler(), "POST", "/v1/simulate", SimulateRequest{
+			CRN: text, Method: "ssa", TEnd: 5, Seed: 1,
+		})
+		if rec.Code != 200 {
+			t.Fatalf("round %d: simulate status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		st := submitAndWait(t, s, JobRequest{CRN: text, Method: "ssa", TEnd: 5, Seed: 1, Watch: true})
+		if st.State != "done" {
+			t.Fatalf("round %d: job %s: %+v", i, st.State, st)
+		}
+		if i == 5 {
+			after5 = seriesCount(t, s)
+		}
+	}
+	if after20 := seriesCount(t, s); after20 != after5 {
+		t.Errorf("/metrics holds %d series after 5 rounds and %d after 20:\n%s", after5, after20, metricsText(t, s))
+	}
+	body := metricsText(t, s)
+	for _, want := range []string{`clock_edges_total{dir="rise"}`, "phase_changes_total"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("watched jobs left no %s series", want)
+		}
+	}
+}
+
+// TestServedSSATightLoop: a served single SSA run without watchers is
+// observed for /metrics but not hooked, so it takes the tight loop.
+func TestServedSSATightLoop(t *testing.T) {
+	s := New(Config{})
+	rec := do(t, s.Handler(), "POST", "/v1/simulate", SimulateRequest{
+		CRN: clockText(t), Method: "ssa", TEnd: 5, Fast: 300, Slow: 1, Seed: 1,
+	})
+	if rec.Code != 200 {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	body := metricsText(t, s)
+	if !strings.Contains(body, `kernel_ssa_loops_total{loop="tight"} 1`) {
+		t.Errorf("served SSA run not counted in the tight loop:\n%s", body)
+	}
+	if strings.Contains(body, `loop="full"`) {
+		t.Errorf("served SSA run counted as hooked:\n%s", body)
+	}
+	if !strings.Contains(body, `sim_runs_total{sim="ssa"} 1`) {
+		t.Errorf("served SSA run not counted in sim_runs_total:\n%s", body)
 	}
 }
 

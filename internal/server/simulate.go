@@ -393,6 +393,8 @@ func (s *Server) runCRN(ctx context.Context, net *crn.Network, req *SimulateRequ
 	// Single runs feed the server registry like ensembles and experiments
 	// do, so /metrics reports solver choices and stiff-integration effort
 	// (ode_solver_runs_total, ode_stiff_*) for interactive requests too.
+	// The observer sees only the run's start and end, so an SSA request
+	// still takes the tight loop.
 	cfg.Obs = obs.NewRegistryObserver(s.reg)
 	tr, err := sim.Run(ctx, net, cfg)
 	if err != nil {

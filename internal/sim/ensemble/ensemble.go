@@ -19,12 +19,13 @@
 // pass loop compacts them away, and kernel.Stats lane-occupancy counters
 // record how much of the block's width did useful work.
 //
-// A run with events, an observer or watchers carries per-run state, so it
-// is a one-lane block with Config.Hooks set. The firing loop has one rare
-// path, taken when a lane's firing count reaches its next stop: the drift
-// guard, every 65,536 firings, and for a hooked lane every firing, where
-// the hooks run. The emitter calls the per-sample hook. An unhooked block,
-// every laned sweep included, pays nothing for the hooks.
+// A run with events or watchers carries per-run state, so it is a one-lane
+// block with Config.Hooks set. The firing loop has one rare path, taken
+// when a lane's firing count reaches its next stop: the drift guard, every
+// 65,536 firings, and for a hooked lane every firing, where the hooks run.
+// The emitter calls the per-sample hook. An unhooked block, every laned
+// sweep and every run that is only observed included, pays nothing for the
+// hooks.
 //
 // The package is deliberately free of sim-layer policy: sim.Run and
 // sim.RunMany decide which runs may share a block, compile and bind the
@@ -75,16 +76,15 @@ const driftGuardEvery = 65536
 var ErrMaxFirings = errors.New("sim: ssa firing budget exhausted")
 
 // Hooks are one run's per-firing and per-sample callbacks: the sim layer's
-// injection events, observer and watchers. They carry per-run state, so a
-// hooked block is one lane wide, and it runs in trace mode.
+// injection events and watchers. They carry per-run state, so a hooked
+// block is one lane wide, and it runs in trace mode.
 type Hooks interface {
 	// Fired runs after every firing with its time, its reaction and the
 	// lane's molecule counts. It returns true when it rewrote the counts
 	// (an event injection); every propensity is then recomputed exactly.
 	Fired(t float64, rx int, counts []float64) bool
-	// Sampled runs after every trace row with the sample time, the waiting
-	// time that crossed it, the running propensity total and the row.
-	Sampled(t, dt, total float64, conc []float64)
+	// Sampled runs after every trace row with the sample time and the row.
+	Sampled(t float64, conc []float64)
 }
 
 // Config describes one SoA block: a bound kernel shared by every lane, the
@@ -117,6 +117,7 @@ type Result struct {
 	Traces  []*trace.Trace // nil in finals-only mode
 	Finals  [][]float64    // final concentrations; nil for lanes with an error
 	Firings []int          // reaction firings executed per lane
+	Times   []float64      // simulated time of each lane's last firing
 	Errs    []error        // per-lane errors (interruption, ErrMaxFirings)
 }
 
@@ -197,6 +198,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{
 		Finals:  make([][]float64, b.width),
 		Firings: make([]int, b.width),
+		Times:   make([]float64, b.width),
 		Errs:    make([]error, b.width),
 	}
 	if !cfg.FinalsOnly {
@@ -205,6 +207,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	for i := range b.lanes {
 		l := &b.lanes[i]
 		res.Firings[i] = l.fired
+		res.Times[i] = l.t
 		res.Errs[i] = l.err
 		if l.err != nil {
 			continue
@@ -473,7 +476,7 @@ func (b *block) emitSamples(ln int, dt float64) error {
 			return err
 		}
 		if b.cfg.Hooks != nil {
-			b.cfg.Hooks.Sampled(l.nextSample, dt, l.total, b.conc)
+			b.cfg.Hooks.Sampled(l.nextSample, b.conc)
 		}
 		l.nextSample += b.cfg.SampleEvery
 	}

@@ -200,7 +200,7 @@ func (h *recHooks) Fired(t float64, _ int, counts []float64) bool {
 	return false
 }
 
-func (h *recHooks) Sampled(t, dt, total float64, conc []float64) { h.sampled++ }
+func (h *recHooks) Sampled(t float64, conc []float64) { h.sampled++ }
 
 // TestEnsembleHooks checks a hooked block: one Fired call per firing in
 // time order, one Sampled call per trace row between t=0 and the horizon

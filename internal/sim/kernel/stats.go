@@ -17,7 +17,7 @@ type Stats struct {
 	LinearSelects   uint64 // SSA firings selected via the O(R) accumulation scan
 	ExactRecomputes uint64 // full propensity rebuilds (drift guard, events, resyncs)
 	TightLoops      uint64 // single SSA runs without hooks (the tight loop)
-	FullLoops       uint64 // single SSA runs with hooks: events, observer or watchers
+	FullLoops       uint64 // single SSA runs with hooks: events or watchers
 
 	// Ensemble lane-occupancy counters, incremented by the SoA lane engine
 	// (internal/sim/ensemble). A block runs its lanes in round-robin macro

@@ -16,16 +16,21 @@ import (
 )
 
 // runSSAStats runs the chain network (~90 reactions: the Fenwick index)
-// under SSA with a caller-owned stats block and returns it.
-func runSSAStats(t *testing.T, seed int64, o obs.Observer) kernel.Stats {
+// under SSA with a caller-owned stats block and returns it. With watched
+// set the run carries the network's default watchers, which hook it.
+func runSSAStats(t *testing.T, seed int64, o obs.Observer, watched bool) kernel.Stats {
 	t.Helper()
 	n := chainNet(t, 40)
 	var ks kernel.Stats
-	_, err := Run(context.Background(), n, Config{
+	cfg := Config{
 		Method: SSA, Rates: Rates{Fast: 50, Slow: 1},
 		TEnd: 5, Unit: 40, Seed: seed,
 		Obs: o, Kernel: &ks,
-	})
+	}
+	if watched {
+		cfg.Watchers = AutoWatchers(n)
+	}
+	_, err := Run(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +66,22 @@ func TestKernelStatsSelectorInvariant(t *testing.T) {
 }
 
 // TestKernelStatsLoopAccounting pins how each SSA configuration is
-// counted: no observer and no watchers means the tight loop, an observer
-// hooks the run (FullLoops). Config.Kernel itself must not hook the run —
-// it is the only way to observe tight-loop runs.
+// counted: without events and watchers the run takes the tight loop, with
+// or without an observer; watchers hook the run (FullLoops). Neither an
+// observer nor Config.Kernel hooks a run.
 func TestKernelStatsLoopAccounting(t *testing.T) {
-	tight := runSSAStats(t, 1, nil)
+	tight := runSSAStats(t, 1, nil, false)
 	if tight.TightLoops != 1 || tight.FullLoops != 0 {
 		t.Errorf("unobserved run: tight=%d full=%d, want 1/0", tight.TightLoops, tight.FullLoops)
 	}
 	reg := obs.NewRegistry()
-	full := runSSAStats(t, 1, obs.NewRegistryObserver(reg))
+	observed := runSSAStats(t, 1, obs.NewRegistryObserver(reg), false)
+	if observed != tight {
+		t.Errorf("observed run counted %+v, unobserved run %+v", observed, tight)
+	}
+	full := runSSAStats(t, 1, nil, true)
 	if full.TightLoops != 0 || full.FullLoops != 1 {
-		t.Errorf("observed run: tight=%d full=%d, want 0/1", full.TightLoops, full.FullLoops)
+		t.Errorf("watched run: tight=%d full=%d, want 0/1", full.TightLoops, full.FullLoops)
 	}
 	// Same seed, same stochastic process: hooks change bookkeeping only,
 	// never selections.
@@ -111,12 +120,12 @@ func TestKernelStatsSweepAccumulation(t *testing.T) {
 	}
 }
 
-// TestKernelStatsReachRegistry runs an observed simulation and checks the
-// kernel counters come out the far end of the pipeline as kernel_* metric
-// families in Prometheus exposition.
+// TestKernelStatsReachRegistry runs an observed, watched simulation and
+// checks the kernel counters come out the far end of the pipeline as
+// kernel_* metric families in Prometheus exposition.
 func TestKernelStatsReachRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	runSSAStats(t, 5, obs.NewRegistryObserver(reg))
+	runSSAStats(t, 5, obs.NewRegistryObserver(reg), true)
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {
 		t.Fatal(err)
@@ -133,5 +142,59 @@ func TestKernelStatsReachRegistry(t *testing.T) {
 	}
 	if strings.Contains(text, `mode="linear"`) {
 		t.Errorf("linear selector counter emitted for a fenwick-only run:\n%s", text)
+	}
+}
+
+// TestLanedAndSingleRunsCountAlike pins one counter vocabulary: the same
+// seeds, run once as laned RunMany points and once as single observed Runs,
+// leave the same run, step and selection counts in a registry. Apart from
+// the families that describe how the engine executed them (loop variant,
+// lane occupancy, wall time), neither side reports a series the other
+// lacks.
+func TestLanedAndSingleRunsCountAlike(t *testing.T) {
+	n := chainNet(t, 40)
+	base := Config{Method: SSA, Rates: Rates{Fast: 50, Slow: 1}, TEnd: 5, Unit: 40}
+	seeds := []int64{1, 2, 3, 4}
+	laned := obs.NewRegistry()
+	if _, err := RunMany(context.Background(), n, BatchConfig{
+		Base: base, Seeds: seeds, Metrics: laned, FinalsOnly: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	single := obs.NewRegistry()
+	for _, seed := range seeds {
+		cfg := base
+		cfg.Seed = seed
+		cfg.Obs = obs.NewRegistryObserver(single)
+		if _, err := Run(context.Background(), n, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine := func(name string) bool {
+		for _, p := range []string{"kernel_ssa_loops_total", "kernel_ensemble_", "sim_wall_seconds"} {
+			if strings.HasPrefix(name, p) {
+				return true
+			}
+		}
+		return false
+	}
+	ls, ss := laned.Snapshot(), single.Snapshot()
+	for _, name := range []string{`sim_runs_total{sim="ssa"}`, `sim_steps_total{sim="ssa"}`, `kernel_selects_total{mode="fenwick"}`} {
+		if ls[name] == 0 {
+			t.Errorf("laned runs report no %s", name)
+		}
+	}
+	for name, v := range ls {
+		if engine(name) {
+			continue
+		}
+		if sv, ok := ss[name]; !ok || sv != v {
+			t.Errorf("%s: laned runs %g, single runs %g (present %v)", name, v, sv, ok)
+		}
+	}
+	for name := range ss {
+		if _, ok := ls[name]; !ok && !engine(name) {
+			t.Errorf("only single runs report %s", name)
+		}
 	}
 }

@@ -133,7 +133,7 @@ func TestSSAFiringAllocs(t *testing.T) {
 	hooked := func(unit float64) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if _, err := Run(context.Background(), n, Config{Method: SSA, Rates: Rates{Fast: 50, Slow: 1},
-				TEnd: 5, Unit: unit, Seed: 3, Obs: &countingObserver{}}); err != nil {
+				TEnd: 5, Unit: unit, Seed: 3, Watchers: AutoWatchers(n)}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -75,9 +75,9 @@ type BatchConfig struct {
 	Gate func(ctx context.Context) (release func(), err error)
 
 	// Metrics, when non-nil, receives batch execution metrics (queue wait,
-	// job durations, worker shards) and per-run sim_runs/sim_steps
-	// families. Laned runs report run-level totals only; per-step
-	// histograms require a run with an Observer, which runs alone.
+	// job durations, worker shards) and the RegistryObserver families of
+	// every run. Laned and single runs of the same seeds report the same
+	// run, step and selection counts.
 	Metrics *obs.Registry
 
 	// JobTimeout bounds each unit of work when Workers > 0 (batch
@@ -156,6 +156,9 @@ func RunMany(ctx context.Context, n *crn.Network, bc BatchConfig) (*trace.Ensemb
 			bc.Configure(i, &cfg)
 		}
 		nc, err := cfg.normalize()
+		if err == nil {
+			err = nc.checkTrace(n)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sim: RunMany run %d: %w", i, err)
 		}
@@ -295,9 +298,8 @@ func RunMany(ctx context.Context, n *crn.Network, bc BatchConfig) (*trace.Ensemb
 }
 
 // runLanedItem executes one SoA block and records per-lane results. When
-// pointObs is non-nil it receives synthetic per-lane SimStart/SimEnd events
-// (run-level totals; the lane engine emits no per-firing telemetry), with
-// the block's kernel counters attached to the last lane's SimEnd so metric
+// pointObs is non-nil it receives per-lane SimStart/SimEnd events, with the
+// block's kernel counters attached to the last lane's SimEnd so metric
 // totals stay exact.
 func runLanedItem(ctx context.Context, it *runItem, n *crn.Network, names []string,
 	finalsOnly bool, stats *kernel.Stats, pointObs obs.Observer,
@@ -319,9 +321,9 @@ func runLanedItem(ctx context.Context, it *runItem, n *crn.Network, names []stri
 		sp.SetAttr("ensemble.first_run", it.runs[0])
 	}
 	if pointObs != nil {
+		start := obs.SimStart{Sim: "ssa", T0: 0, T1: cfg.TEnd, Species: names, Reactions: reactionNames(n)}
 		for range it.runs {
-			pointObs.OnSimStart(obs.SimStart{Sim: "ssa", T0: 0, T1: cfg.TEnd,
-				Species: names, Reactions: reactionNames(n)})
+			pointObs.OnSimStart(start)
 		}
 	}
 	startWall := time.Now()
@@ -361,7 +363,7 @@ func runLanedItem(ctx context.Context, it *runItem, n *crn.Network, names []stri
 		if pointObs != nil {
 			e := obs.SimEnd{Sim: "ssa", T: cfg.TEnd, Steps: res.Firings[j], WallSeconds: wall}
 			if res.Errs[j] != nil {
-				e.Err = res.Errs[j].Error()
+				e.T, e.Err = res.Times[j], res.Errs[j].Error()
 			}
 			if j == len(it.runs)-1 {
 				e.Kernel = kernelStats(*stats)
@@ -378,9 +380,11 @@ func runLanedItem(ctx context.Context, it *runItem, n *crn.Network, names []stri
 }
 
 // laneable reports whether a run may share an SoA block with other runs:
-// exact SSA with no events, observer or watchers. Those carry per-run
-// state, so a hooked SSA run is a one-lane block of its own, which Run
-// builds; ODE runs have no lanes at all.
+// exact SSA with no events, observer or watchers. Events and watchers carry
+// per-run state, so such a run is a hooked one-lane block of its own, which
+// Run builds; a run's own observer expects its own start and end, so an
+// observed run goes through Run too (unhooked). ODE runs have no lanes at
+// all.
 func laneable(cfg Config) bool {
 	return cfg.Method == SSA && len(cfg.Events) == 0 && cfg.Obs == nil && len(cfg.Watchers) == 0
 }

@@ -188,20 +188,22 @@ type Config struct {
 	MaxFirings int
 
 	Events []*Event // optional injection events
-	// Obs receives instrumentation events: run start/end and step/firing
-	// telemetry. Nil disables instrumentation on the hot path.
+	// Obs receives the run's start and end (SimEnd carries the step,
+	// kernel and solver counters) and the watchers' semantic events. It
+	// never sees individual steps or firings, so observing a run does not
+	// change how it executes.
 	Obs obs.Observer
 	// Watchers derive semantic events (clock edges, phase changes, duty
 	// cycles) from the state at every accepted step or recording sample;
-	// their events go to Obs.
+	// their events go to Obs. Watchers carry per-run state, so an SSA run
+	// with watchers is a hooked one-lane block.
 	Watchers []obs.Watcher
 
 	// Kernel, when non-nil, additionally receives the run's kernel
 	// hot-path counters (selector choices, exact recomputes, loop-variant
 	// entries, lane occupancy) — reusing one sink across runs
-	// accumulates a sweep total. The same counters travel on
-	// obs.SimEnd.Kernel, but unlike Obs a Kernel sink does not hook the
-	// SSA run, so it is the only way to observe an unhooked run's counters.
+	// accumulates a sweep total. Each run's own counters travel on
+	// obs.SimEnd.Kernel.
 	Kernel *kernel.Stats
 
 	// compiled, when non-nil, is a pre-bound kernel for this network and
@@ -213,6 +215,15 @@ type Config struct {
 	// cannot.
 	compiled *kernel.Compiled
 }
+
+// MaxTraceCells bounds the trace a run records: its sample rows (TEnd over
+// SampleEvery, plus the rows at t = 0 and at the horizon) times its
+// species. The simulators size the trace from that count before their first
+// step, so without a bound a tiny SampleEvery asks for an impossible or
+// many-gigabyte allocation. Validate bounds the rows alone and Run the
+// product. 1<<24 cells hold 128 MiB of samples; the default 1000-row grid
+// stays below it for networks of up to 16,000 species.
+const MaxTraceCells = 1 << 24
 
 // FieldError reports one invalid Config field: the Go field name (dotted
 // for nested fields, e.g. "Rates.Fast") and what is wrong with it.
@@ -268,6 +279,10 @@ func (c Config) Validate() error {
 	}
 	if c.SampleEvery < 0 || math.IsNaN(c.SampleEvery) || math.IsInf(c.SampleEvery, 0) {
 		add("SampleEvery", "must be non-negative and finite, got %g", c.SampleEvery)
+	} else if c.SampleEvery > 0 && !math.IsInf(c.TEnd, 0) {
+		if rows := c.traceRows(); rows > MaxTraceCells {
+			add("SampleEvery", "TEnd/SampleEvery asks for %.4g trace rows, limit is %d", rows, MaxTraceCells)
+		}
 	}
 	switch c.Solver {
 	case SolverAuto, SolverExplicit, SolverStiff:
@@ -301,6 +316,20 @@ func (c Config) Validate() error {
 		return nil
 	}
 	return &ConfigError{Fields: fields}
+}
+
+// traceRows is the number of rows a run sizes its trace for.
+func (c Config) traceRows() float64 { return c.TEnd/c.SampleEvery + 2 }
+
+// checkTrace bounds the normalized config's trace on network n by
+// MaxTraceCells.
+func (c Config) checkTrace(n *crn.Network) error {
+	rows, species := c.traceRows(), n.NumSpecies()
+	if rows*float64(species) <= MaxTraceCells {
+		return nil
+	}
+	return &ConfigError{Fields: []FieldError{{Field: "SampleEvery", Msg: fmt.Sprintf(
+		"%.4g trace rows of %d species exceed the %d-cell limit", rows, species, MaxTraceCells)}}}
 }
 
 func (c Config) normalize() (Config, error) {
@@ -353,6 +382,9 @@ func Run(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, error) 
 		return nil, err
 	}
 	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.checkTrace(n); err != nil {
 		return nil, err
 	}
 	if parent := span.FromContext(ctx); parent != nil {
@@ -476,9 +508,6 @@ func runODE(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, erro
 	sink, startWall, err := startRun(n, "ode", cfg.TEnd, cfg.Obs, cfg.Watchers)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ODE.Obs == nil {
-		cfg.ODE.Obs = cfg.Obs
 	}
 	tr := trace.New(n.SpeciesNames())
 	tr.Grow(int(cfg.TEnd/cfg.SampleEvery) + 2)

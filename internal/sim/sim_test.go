@@ -342,7 +342,7 @@ func TestRunBudgetExhausted(t *testing.T) {
 	}
 	ssa := Config{Method: SSA, TEnd: 5, Unit: 1000, Seed: 1, MaxFirings: 100}
 	hooked := ssa
-	hooked.Obs = &countingObserver{}
+	hooked.Watchers = AutoWatchers(n)
 	for _, c := range []struct {
 		name string
 		cfg  Config

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"math"
-	"time"
 
 	"repro/internal/crn"
 	"repro/internal/obs"
@@ -28,14 +27,11 @@ var ErrMaxFirings = ensemble.ErrMaxFirings
 // k·Π[S_i]^c_i has propensity k·Ω·Π( falling(n_i, c_i) / Ω^c_i ), which
 // makes the SSA mean converge to the ODE of Deriv as Ω grows.
 //
-// A run with events, an observer or watchers hooks the block (ssaHooks);
-// the hooks only read the state unless an event rewrites the counts, so
-// what watches a run never changes its trajectory.
+// A run with events or watchers hooks the block (ssaHooks); the hooks only
+// read the state unless an event rewrites the counts, so what watches a run
+// never changes its trajectory. An observer alone does not hook the block:
+// it sees the run's start, and its end with the engine's counters.
 func runSSA(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, error) {
-	stats := cfg.Kernel
-	if stats == nil {
-		stats = &kernel.Stats{}
-	}
 	k := cfg.compiled
 	if k == nil {
 		k = kernel.Compile(n, cfg.Rates.Of)
@@ -54,11 +50,9 @@ func runSSA(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, erro
 		Seeds:       []int64{cfg.Seed},
 		Stats:       &ks,
 	}
-	hooked := len(cfg.Events) > 0 || cfg.Obs != nil || len(cfg.Watchers) > 0
 	var h *ssaHooks
-	var startWall time.Time
-	if hooked {
-		h = &ssaHooks{k: k, unit: cfg.Unit, obs: cfg.Obs, watchers: cfg.Watchers, events: cfg.Events}
+	if len(cfg.Events) > 0 || len(cfg.Watchers) > 0 {
+		h = &ssaHooks{k: k, unit: cfg.Unit, watchers: cfg.Watchers, events: cfg.Events}
 		conc := make([]float64, n.NumSpecies())
 		for i, c := range n.Init() {
 			conc[i] = math.Round(c*cfg.Unit) / cfg.Unit
@@ -69,56 +63,57 @@ func runSSA(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, erro
 				return nil, err
 			}
 		}
-		var err error
-		if h.sink, startWall, err = startRun(n, "ssa", cfg.TEnd, cfg.Obs, cfg.Watchers); err != nil {
-			return nil, err
-		}
 		ec.Hooks = h
-		stats.FullLoops++
-	} else {
-		stats.TightLoops++
+	}
+	sink, startWall, err := startRun(n, "ssa", cfg.TEnd, cfg.Obs, cfg.Watchers)
+	if err != nil {
+		return nil, err
+	}
+	if h != nil {
+		h.sink = sink
 	}
 
 	res, err := ensemble.Run(ctx, ec)
-	stats.FenwickSelects += ks.FenwickSelects
-	stats.LinearSelects += ks.LinearSelects
-	stats.ExactRecomputes += ks.ExactRecomputes
+	run := kernel.Stats{
+		FenwickSelects:  ks.FenwickSelects,
+		LinearSelects:   ks.LinearSelects,
+		ExactRecomputes: ks.ExactRecomputes,
+	}
+	if h != nil {
+		run.FullLoops = 1
+	} else {
+		run.TightLoops = 1
+	}
+	if cfg.Kernel != nil {
+		cfg.Kernel.Add(run)
+	}
 	var tr *trace.Trace
-	fired := 0
+	fired, end := 0, 0.0
 	if res != nil {
 		tr, fired, err = res.Traces[0], res.Firings[0], res.Errs[0]
-	}
-	if hooked {
-		end := cfg.TEnd
+		end = cfg.TEnd
 		if err != nil {
-			end = h.t
+			end = res.Times[0]
 		}
-		endRun(obs.SimEnd{Sim: "ssa", T: end, Steps: fired, Kernel: kernelStats(*stats)},
-			cfg.Obs, h.sink, cfg.Watchers, startWall, err)
 	}
+	endRun(obs.SimEnd{Sim: "ssa", T: end, Steps: fired, Kernel: kernelStats(run)},
+		cfg.Obs, sink, cfg.Watchers, startWall, err)
 	return tr, err
 }
 
-// ssaHooks are a hooked run's callbacks (ensemble.Hooks): the observer's
-// firing and step telemetry, the watchers, and the injection events, whose
-// probes read a concentration view kept current for the species each
-// firing changes.
+// ssaHooks are a hooked run's callbacks (ensemble.Hooks): the watchers, and
+// the injection events, whose probes read a concentration view kept current
+// for the species each firing changes.
 type ssaHooks struct {
 	k        *kernel.Compiled
 	unit     float64
-	obs      obs.Observer // nil when only events or watchers hook the run
 	sink     obs.Observer // watcher event sink, never nil
 	watchers []obs.Watcher
 	events   []*Event
-	st       State   // the events' concentration view
-	t        float64 // time of the latest firing
+	st       State // the events' concentration view
 }
 
 func (h *ssaHooks) Fired(t float64, rx int, counts []float64) bool {
-	h.t = t
-	if h.obs != nil {
-		h.obs.OnReactionFiring(obs.ReactionFiring{T: t, Reaction: rx, Count: 1})
-	}
 	if len(h.events) == 0 {
 		return false
 	}
@@ -144,9 +139,6 @@ func (h *ssaHooks) Fired(t float64, rx int, counts []float64) bool {
 	return fired
 }
 
-func (h *ssaHooks) Sampled(t, dt, total float64, conc []float64) {
+func (h *ssaHooks) Sampled(t float64, conc []float64) {
 	obs.ObserveAll(h.watchers, t, conc, h.sink)
-	if h.obs != nil {
-		h.obs.OnStep(obs.Step{T: t, H: dt, Accepted: true, Propensity: total})
-	}
 }

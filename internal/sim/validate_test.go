@@ -44,6 +44,7 @@ func TestConfigValidate(t *testing.T) {
 		{"inf tend", Config{TEnd: math.Inf(1)}, []string{"TEnd"}},
 		{"inverted rates", Config{TEnd: 1, Rates: Rates{Fast: 1, Slow: 5}}, []string{"Rates"}},
 		{"negative sampling", Config{TEnd: 1, SampleEvery: -1}, []string{"SampleEvery"}},
+		{"trace rows over the bound", Config{TEnd: 1e6, SampleEvery: 1e-10}, []string{"SampleEvery"}},
 		{"ssa without unit", Config{Method: SSA, TEnd: 1}, []string{"Unit"}},
 		{"negative firings cap", Config{TEnd: 1, MaxFirings: -1}, []string{"MaxFirings"}},
 		{"several at once", Config{Method: SSA, TEnd: -3, MaxFirings: -1}, []string{"TEnd", "Unit", "MaxFirings"}},
@@ -90,5 +91,30 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	}
 	if len(ce.Fields) != 1 || ce.Fields[0].Field != "Unit" {
 		t.Fatalf("fields = %+v, want one Unit error", ce.Fields)
+	}
+}
+
+// TestRunBoundsTrace pins MaxTraceCells where the network is known: a grid
+// whose rows pass Validate but whose rows × species exceed the bound is a
+// *ConfigError from Run and RunMany before anything is allocated, and the
+// largest grid under the bound still validates.
+func TestRunBoundsTrace(t *testing.T) {
+	n := chainNet(t, 4) // 6 species
+	cfg := Config{TEnd: MaxTraceCells / 2, SampleEvery: 1}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate = %v, want nil: the rows alone are under the bound", err)
+	}
+	if got := fieldsOf(t, Config{TEnd: MaxTraceCells, SampleEvery: 1}.Validate()); len(got) != 1 || got[0] != "SampleEvery" {
+		t.Fatalf("rows just over the bound: fields %v, want [SampleEvery]", got)
+	}
+	_, err := Run(context.Background(), n, cfg)
+	if got := fieldsOf(t, err); len(got) != 1 || got[0] != "SampleEvery" {
+		t.Fatalf("Run: fields %v, want [SampleEvery]", got)
+	}
+	ssa := cfg
+	ssa.Method, ssa.Unit = SSA, 10
+	_, err = RunMany(context.Background(), n, BatchConfig{Base: ssa, Runs: 2, FinalsOnly: true})
+	if got := fieldsOf(t, err); len(got) != 1 || got[0] != "SampleEvery" {
+		t.Fatalf("RunMany: fields %v, want [SampleEvery]", got)
 	}
 }

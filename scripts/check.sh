@@ -24,6 +24,14 @@ if grep -rnE '\bRun(ODE|SSA|TauLeap)\(' internal/ cmd/ examples/ \
   exit 1
 fi
 
+# The integrator stays free of the instrumentation layer: observers see a
+# run's start and end from the sim layer, never an integrator step, so
+# internal/ode must not depend on internal/obs.
+if go list -deps ./internal/ode | grep -qx 'repro/internal/obs'; then
+  echo 'check.sh: internal/ode depends on repro/internal/obs' >&2
+  exit 1
+fi
+
 # The batch engine, the HTTP server and the span tracer are the repo's
 # concurrency hot spots: run them twice under the race detector before
 # everything else so scheduling-order bugs surface fast. The kernel package
