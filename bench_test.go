@@ -60,15 +60,15 @@ func BenchmarkE14Modules(b *testing.B)           { benchExperiment(b, "E14") }
 
 // buildClockNet constructs the standalone molecular clock network used by
 // the substrate micro-benchmarks.
-func buildClockNet(b *testing.B) *crn.Network {
-	b.Helper()
+func buildClockNet(tb testing.TB) *crn.Network {
+	tb.Helper()
 	n := crn.NewNetwork()
 	s := phases.NewScheme(n, "ph")
 	if _, err := clock.Add(s, "clk", 1); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.Build(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return n
 }

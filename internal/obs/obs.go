@@ -55,7 +55,7 @@ type SimEnd struct {
 
 // ODEStats reports the ODE backend's solver selection and integration
 // effort, mirroring the sim layer's solver knob without importing it. An
-// auto run that never trips the stiffness detector reports Solver "auto"
+// auto run that never passes the stiffness test reports Solver "auto"
 // with Switched false and zero stiff counters.
 type ODEStats struct {
 	Solver         string  // requested solver: "auto", "explicit" or "stiff"
@@ -67,6 +67,13 @@ type ODEStats struct {
 	Solves         int     // triangular backsolves
 	Rejected       int     // error-control rejections (both integrators)
 	Evals          int     // derivative evaluations (both integrators)
+	// HRho and WorkRatio are an auto run's stiffness evidence: h·ρ (step
+	// times dominant-eigenvalue estimate) where the test judged, and the
+	// predicted explicit-to-stiff work ratio there. A handoff's ratio
+	// exceeds 1; a run that stayed explicit reports the largest ratio
+	// judged, or zeros if its step never reached the stability edge.
+	HRho      float64
+	WorkRatio float64
 }
 
 // IsZero reports whether the event carries no ODE solver information.

@@ -63,6 +63,10 @@ func (o *SpanObserver) OnSimEnd(e SimEnd) {
 			o.S.SetAttr("ode.switch_t", od.SwitchT)
 		}
 		o.S.SetAttr("ode.switches", switches)
+		if od.WorkRatio > 0 {
+			o.S.SetAttr("ode.h_rho", od.HRho)
+			o.S.SetAttr("ode.work_ratio", od.WorkRatio)
+		}
 		if od.StiffSteps > 0 {
 			o.S.SetAttr("ode.stiff_steps", od.StiffSteps)
 			o.S.SetAttr("ode.jac_evals", od.JacEvals)

@@ -1,6 +1,8 @@
-// Package ode provides explicit ordinary-differential-equation integrators:
-// an adaptive Dormand–Prince 5(4) method (the workhorse for mass-action
-// simulation in package sim) and a fixed-step classical RK4 used for
+// Package ode provides ordinary-differential-equation integrators: an
+// adaptive Dormand–Prince 5(4) method (the explicit workhorse for
+// mass-action simulation in package sim) with a stiffness detector that
+// says when to hand a run over, a Rosenbrock-W (ode23s) method on a sparse
+// LU for stiff systems, and a fixed-step classical RK4 used for
 // cross-checks. The package is generic — it knows nothing about chemistry.
 package ode
 
@@ -35,14 +37,14 @@ type Options struct {
 	// non-negative, but roundoff can produce tiny negative excursions
 	// that would feed back as negative rates; projection removes them.
 	NonNegative bool
-	// StiffDetect makes Integrate abandon the run with ErrStiff when the
-	// error controller shows the signature of stiffness — at least
-	// stiffRejects rejections inside a stiffWindow-step window while the
-	// step size sits below span·stiffHFrac. On that return y0 holds the
-	// state at the detection point and Stats.T the time reached, so the
-	// caller can resume seamlessly with the stiff integrator. Pure
-	// detection: when the heuristic never fires the integration is
-	// unchanged.
+	// StiffDetect makes Integrate abandon the run with ErrStiff once its
+	// stiffness test (see stiffEdge) finds the step held at DP5's
+	// stability edge and predicts the stiff integrator cheaper for the
+	// rest of the run. On that return y0 holds the state at the decision
+	// point and Stats.T the time reached, so the caller can resume
+	// seamlessly with the stiff integrator; Stats.HRho and
+	// Stats.WorkRatio carry the evidence. Pure detection: when the test
+	// never passes the integration is unchanged.
 	StiffDetect bool
 }
 
@@ -76,22 +78,41 @@ var ErrMinStep = errors.New("ode: step size underflow")
 // ErrMaxSteps reports that MaxSteps was exhausted before reaching t1.
 var ErrMaxSteps = errors.New("ode: step budget exhausted")
 
-// ErrStiff reports that Options.StiffDetect recognised the problem as stiff
-// for the explicit method. It is a handoff signal, not a failure: y0 and
-// Stats.T carry the integration front so a stiff method can take over.
+// ErrStiff reports that Options.StiffDetect found the explicit method held
+// at its stability edge and predicted the stiff integrator to be cheaper
+// for the rest of the run. It is a handoff signal, not a failure: y0 and
+// Stats.T carry the integration front so a stiff method can take over, and
+// Stats.HRho and Stats.WorkRatio the evidence for the decision.
 var ErrStiff = errors.New("ode: stiffness detected")
 
-// Stiffness-detection heuristic (Options.StiffDetect): within each window
-// of stiffWindow attempted steps, stiffRejects error-control rejections
-// while h < span·stiffHFrac trigger ErrStiff. An explicit method on a stiff
-// problem settles into stability-limited stepping — h pinned far below the
-// span with the controller bouncing off the boundary — which is exactly
-// this signature; a merely hard (but non-stiff) stretch rejects a few times
-// and moves on without accumulating rejections at small h.
+// Stiffness test (Options.StiffDetect). Stages 6 and 7 of a DP5 step are
+// both evaluated at t+h, so ρ = ‖k7 − k6‖ / ‖y₁ − Y6‖ estimates the
+// dominant eigenvalue of the Jacobian at no extra evaluation (Hairer &
+// Wanner, Solving ODEs II, §IV.2). DP5 is stable for h·ρ up to about 3.3;
+// a step held there by stability rather than accuracy reads h·ρ of 2–3.6,
+// a resolved fast transient mostly below 1. The run is at the edge once
+// stiffEdgeSteps accepted steps read h·ρ > stiffEdge, with fewer than
+// stiffCalm calm steps in a row between them (dopri5's counting). At the
+// edge the explicit method pays 6 evaluations per step of mean size h̄ over
+// that stretch. The stiff method is priced at stiffPrice evaluations per
+// ĥ = min(stiffStep, MaxStep) of simulated time. stiffStep is the stiff
+// step on smooth slow dynamics. Where MaxStep binds, clock edges hold the
+// stiff step to 0.35–0.65 of the cap, and covering ĥ took the time of
+// 13–24 evaluations on the paper's designs; stiffPrice sits above that.
+// The handoff happens when the work ratio (6/h̄)/(stiffPrice/ĥ) exceeds 1.
+//
+// The constants are calibrated on the paper's designs (clock, 2- and
+// 4-register rings, 2-bit counter, 4-tap moving average) at fast/slow
+// ratios 100 to 3e4 over a horizon of 10 slow time units, and on the
+// asynchronous delay chain over 150; the grid and the rule's margins are
+// in DESIGN.md. stiffStep is in slow time units, so the test assumes the
+// slow rates are of order 1, as sim.DefaultRates sets.
 const (
-	stiffWindow  = 64
-	stiffRejects = 8
-	stiffHFrac   = 1e-3
+	stiffEdge      = 2.0
+	stiffEdgeSteps = 12
+	stiffCalm      = 6
+	stiffPrice     = 30
+	stiffStep      = 0.025
 )
 
 // ctxCheckEvery is how often (in accepted-plus-rejected steps) Integrate
@@ -137,10 +158,17 @@ type Stats struct {
 	Factorizations int     // LU factorizations of the shifted matrix (stiff path)
 	Solves         int     // triangular backsolves (stiff path)
 	T              float64 // time reached when the integrator returned
+	// HRho and WorkRatio are the stiffness test's evidence (StiffDetect):
+	// h·ρ at the step the test judged and the predicted explicit-to-stiff
+	// work ratio there — the handoff's on ErrStiff, otherwise the largest
+	// ratio judged. Both stay zero if the step never reached the edge.
+	HRho      float64
+	WorkRatio float64
 }
 
 // Add accumulates other into st, keeping the larger T — the merge used when
-// an auto-switching run hands off between integrators.
+// an auto-switching run hands off between integrators. The stiffness
+// evidence stays st's: only the explicit leg judges.
 func (st *Stats) Add(other Stats) {
 	st.Accepted += other.Accepted
 	st.Rejected += other.Rejected
@@ -151,6 +179,45 @@ func (st *Stats) Add(other Stats) {
 	if other.T > st.T {
 		st.T = other.T
 	}
+}
+
+// stiffTest is the state of the stiffness test across accepted steps.
+type stiffTest struct {
+	edge, calm int     // edge steps in the stretch, calm steps in a row
+	steps      int     // accepted steps since the stretch began
+	t0         float64 // time at which the stretch began
+	hStiff     float64 // predicted stiff step, min(stiffStep, MaxStep)
+}
+
+// accept records one accepted step from t to t+h with stiffness estimate
+// hRho and reports whether the run should hand off. It leaves the judged
+// stretch's evidence in st.
+func (s *stiffTest) accept(t, h, hRho float64, st *Stats) bool {
+	if s.edge > 0 {
+		s.steps++
+	}
+	if hRho <= stiffEdge {
+		s.calm++
+		if s.calm >= stiffCalm {
+			s.edge = 0
+		}
+		return false
+	}
+	if s.edge == 0 {
+		s.t0, s.steps = t, 1
+	}
+	s.edge++
+	s.calm = 0
+	if s.edge < stiffEdgeSteps {
+		return false
+	}
+	s.edge = 0
+	hMean := (t + h - s.t0) / float64(s.steps)
+	ratio := 6 / hMean * s.hStiff / stiffPrice
+	if ratio > st.WorkRatio {
+		st.HRho, st.WorkRatio = hRho, ratio
+	}
+	return ratio > 1
 }
 
 // Integrate advances y0 from t0 to t1 with the adaptive Dormand–Prince 5(4)
@@ -181,6 +248,7 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 		k[i] = make([]float64, n)
 	}
 	ytmp := make([]float64, n)
+	y6 := make([]float64, n)
 	ynew := make([]float64, n)
 
 	t := t0
@@ -188,8 +256,7 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 	f(t, y0, k[0])
 	st.Evals++
 	fsalValid := true
-	// Stiffness-detection window counters (Options.StiffDetect).
-	winSteps, winRejects := 0, 0
+	stiff := stiffTest{hStiff: math.Min(stiffStep, o.MaxStep)}
 
 	for t < t1 {
 		st.T = t
@@ -212,21 +279,26 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 			st.Evals++
 			fsalValid = true
 		}
-		// Stages 2..7.
+		// Stages 2..7. Stage 6's argument stays in y6 for the stiffness
+		// estimate; stage 7's is the 5th-order solution (a7 row == b row).
 		for s := 1; s < 7; s++ {
+			ys := ytmp
+			switch s {
+			case 5:
+				ys = y6
+			case 6:
+				ys = ynew
+			}
 			for i := 0; i < n; i++ {
 				acc := 0.0
 				for j := 0; j < s; j++ {
 					acc += dpA[s][j] * k[j][i]
 				}
-				ytmp[i] = y0[i] + h*acc
+				ys[i] = y0[i] + h*acc
 			}
-			f(t+dpC[s]*h, ytmp, k[s])
+			f(t+dpC[s]*h, ys, k[s])
 			st.Evals++
 		}
-		// 5th-order solution is stage 7's ytmp (a7 row == b row); but the
-		// last loop iteration left ytmp holding exactly that combination.
-		copy(ynew, ytmp)
 
 		// Error norm.
 		errNorm := 0.0
@@ -244,9 +316,12 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 
 		if errNorm <= 1 || h <= o.MinStep*1.01 {
 			// Accept.
+			handoff := o.StiffDetect && stiff.accept(t, h, h*stiffRho(k[6], k[5], ynew, y6), &st)
 			st.Accepted++
 			t += h
 			copy(y0, ynew)
+			// Projection moves y by amounts within the error tolerance,
+			// so the FSAL derivative below stays valid.
 			if o.NonNegative {
 				for i := range y0 {
 					if y0[i] < 0 {
@@ -266,30 +341,13 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 					return st, nil
 				}
 			}
-			if o.NonNegative {
-				// Projection may have changed the state the cached
-				// derivative was computed for; refresh lazily only when
-				// a clamp actually occurred is not tracked, so keep the
-				// FSAL derivative: projection moves y by amounts within
-				// the error tolerance.
-				_ = 0
+			if handoff {
+				st.T = t
+				return st, fmt.Errorf("%w at t=%g (h·ρ=%.3g, explicit/stiff work %.3g)",
+					ErrStiff, t, st.HRho, st.WorkRatio)
 			}
 		} else {
 			st.Rejected++
-			if o.StiffDetect && h < (t1-t0)*stiffHFrac {
-				winRejects++
-			}
-		}
-		if o.StiffDetect {
-			winSteps++
-			if winRejects >= stiffRejects {
-				st.T = t
-				return st, fmt.Errorf("%w at t=%g (h=%g, %d rejections in %d steps)",
-					ErrStiff, t, h, winRejects, winSteps)
-			}
-			if winSteps >= stiffWindow {
-				winSteps, winRejects = 0, 0
-			}
 		}
 		// PI-free elementary controller.
 		fac := 0.9 * math.Pow(errNorm, -0.2)
@@ -301,6 +359,23 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 	}
 	st.T = t
 	return st, nil
+}
+
+// stiffRho is the dominant-eigenvalue estimate ‖k7 − k6‖ / ‖y1 − y6‖ of a
+// DP5 step whose stages 6 and 7 were evaluated at y6 and y1. It is 0 when
+// the two arguments coincide.
+func stiffRho(k7, k6, y1, y6 []float64) float64 {
+	num, den := 0.0, 0.0
+	for i := range y1 {
+		d := k7[i] - k6[i]
+		num += d * d
+		e := y1[i] - y6[i]
+		den += e * e
+	}
+	if den == 0 {
+		return 0
+	}
+	return math.Sqrt(num / den)
 }
 
 // RK4 advances y0 from t0 to t1 with the classical fixed-step fourth-order

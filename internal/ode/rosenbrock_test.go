@@ -184,6 +184,36 @@ func TestStiffDetectHandoff(t *testing.T) {
 	}
 }
 
+// TestStiffTestEvidence drives both sides of the stiffness test on the
+// relaxation y0' = −λ(y0 − y1), y1' = −y1, whose dominant eigenvalue is λ.
+// At λ = 1e5 the stability edge pins the explicit step near 3.3e-5 and the
+// test hands off; at λ = 10, once the solution has decayed below the
+// tolerances, the step grows to the same edge near 0.33, where the
+// explicit method is far cheaper than priced stiff steps, so the run stays
+// explicit and reports the work ratio it judged.
+func TestStiffTestEvidence(t *testing.T) {
+	relax := func(lambda float64) Func {
+		return func(_ float64, y, dydt []float64) {
+			dydt[0] = -lambda * (y[0] - y[1])
+			dydt[1] = -y[1]
+		}
+	}
+	st, err := Integrate(context.Background(), relax(1e5), []float64{0, 1}, 0, 10, Options{StiffDetect: true}, nil)
+	if !errors.Is(err, ErrStiff) {
+		t.Fatalf("λ=1e5: %v, want ErrStiff", err)
+	}
+	if st.HRho <= stiffEdge || st.HRho > 4 || st.WorkRatio <= 1 {
+		t.Fatalf("λ=1e5: handoff evidence h·ρ %g, work ratio %g", st.HRho, st.WorkRatio)
+	}
+	st, err = Integrate(context.Background(), relax(10), []float64{0, 1}, 0, 100, Options{StiffDetect: true}, nil)
+	if err != nil {
+		t.Fatalf("λ=10: %v", err)
+	}
+	if st.HRho <= stiffEdge || st.WorkRatio <= 0 || st.WorkRatio >= 1 {
+		t.Fatalf("λ=10: evidence h·ρ %g, work ratio %g; want an edge judged cheaper explicit", st.HRho, st.WorkRatio)
+	}
+}
+
 // TestStiffInnerLoopAllocs pins the hot-path contract: once a Stiff is
 // constructed, repeated integrations — factorizations, solves, steps —
 // allocate nothing.

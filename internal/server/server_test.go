@@ -402,6 +402,29 @@ func TestSimulateErrors(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigSkipsQueue: a CRN body whose config can only be a 400 is
+// rejected at once, even with every simulation slot taken, and never
+// counts a slot wait.
+func TestInvalidConfigSkipsQueue(t *testing.T) {
+	s := New(Config{MaxConcurrentSims: 1, SimTimeout: time.Minute})
+	if _, err := s.acquireSim(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.releaseSim()
+	waits := s.Registry().Snapshot()["server_sim_wait_seconds_count"]
+	start := time.Now()
+	rec := do(t, s.Handler(), "POST", "/v1/simulate", hugeTrace)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("invalid request took %v behind the held slot", elapsed)
+	}
+	if rec.Code != 400 || decode[errorBody](t, rec).Error.Code != CodeInvalidRequest {
+		t.Fatalf("status %d body %s, want 400 %s", rec.Code, rec.Body.String(), CodeInvalidRequest)
+	}
+	if got := s.Registry().Snapshot()["server_sim_wait_seconds_count"]; got != waits {
+		t.Fatalf("server_sim_wait_seconds_count %g -> %g, want unchanged", waits, got)
+	}
+}
+
 // hugeTrace asks for 1e16 sample rows, past sim.MaxTraceCells; the body is
 // valid for both /v1/simulate and /v1/jobs.
 const hugeTrace = `{"crn":"init X = 1\nX -> Y : slow","t_end":1e6,"sample_every":1e-10}`

@@ -329,6 +329,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A config that can only be a 400 is rejected before it queues for a
+	// simulation slot behind running simulations.
+	if req.CRN != "" {
+		if err := req.simConfig(method, solver).Validate(); err != nil {
+			writeError(w, configError(err))
+			return
+		}
+	}
+
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.TimeoutSeconds))
 	defer cancel()
 	wait, err := s.acquireSim(ctx)

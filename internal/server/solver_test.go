@@ -126,10 +126,15 @@ func TestSimulateStiffObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, s.Handler(), "POST", "/v1/simulate", SimulateRequest{
+	rec = do(t, s.Handler(), "POST", "/v1/simulate", SimulateRequest{
 		CRN: stiffCRN, TEnd: 50, Fast: 2e5, Slow: 1,
-	}); rec.Code != 200 {
+	})
+	if rec.Code != 200 {
 		t.Fatalf("auto run: status %d body %s", rec.Code, rec.Body.String())
+	}
+	autoTID, _, err := span.ParseTraceparent(rec.Header().Get("traceparent"))
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	metrics := do(t, s.Handler(), "GET", "/metrics", nil)
@@ -160,6 +165,13 @@ func TestSimulateStiffObservability(t *testing.T) {
 	for _, want := range []string{"ode.solver", "stiff", "ode.jac_evals", "ode.factorizations"} {
 		if !strings.Contains(tbody, want) {
 			t.Errorf("trace export missing %q", want)
+		}
+	}
+	// The auto run's span carries the handoff and its evidence.
+	otlp = do(t, s.Handler(), "GET", "/debug/tracez?trace="+autoTID.String(), nil)
+	for _, want := range []string{"ode.switch_t", "ode.h_rho", "ode.work_ratio"} {
+		if !strings.Contains(otlp.Body.String(), want) {
+			t.Errorf("auto trace export missing %q", want)
 		}
 	}
 }

@@ -22,10 +22,11 @@
 // A run with events or watchers carries per-run state, so it is a one-lane
 // block with Config.Hooks set. The firing loop has one rare path, taken
 // when a lane's firing count reaches its next stop: the drift guard, every
-// 65,536 firings, and for a hooked lane every firing, where the hooks run.
-// The emitter calls the per-sample hook. An unhooked block, every laned
-// sweep and every run that is only observed included, pays nothing for the
-// hooks.
+// 65,536 firings, and for a lane whose hooks include a per-firing hook
+// (FiringHooks, the sim layer's events) every firing. The emitter calls the
+// per-sample hook. An unhooked block, every laned sweep and every run that
+// is only observed included, pays nothing for the hooks, and a run with
+// watchers but no events pays only per trace row.
 //
 // The package is deliberately free of sim-layer policy: sim.Run and
 // sim.RunMany decide which runs may share a block, compile and bind the
@@ -75,16 +76,23 @@ const driftGuardEvery = 65536
 // a trace nor final concentrations.
 var ErrMaxFirings = errors.New("sim: ssa firing budget exhausted")
 
-// Hooks are one run's per-firing and per-sample callbacks: the sim layer's
-// injection events and watchers. They carry per-run state, so a hooked
-// block is one lane wide, and it runs in trace mode.
+// Hooks are one run's per-sample callbacks: the sim layer's watchers. They
+// carry per-run state, so a hooked block is one lane wide, and it runs in
+// trace mode.
 type Hooks interface {
+	// Sampled runs after every trace row with the sample time and the row.
+	Sampled(t float64, conc []float64)
+}
+
+// FiringHooks are Hooks that also run after every firing: the sim layer's
+// injection events. Only these make the firing loop stop after every
+// firing.
+type FiringHooks interface {
+	Hooks
 	// Fired runs after every firing with its time, its reaction and the
 	// lane's molecule counts. It returns true when it rewrote the counts
 	// (an event injection); every propensity is then recomputed exactly.
 	Fired(t float64, rx int, counts []float64) bool
-	// Sampled runs after every trace row with the sample time and the row.
-	Sampled(t float64, conc []float64)
 }
 
 // Config describes one SoA block: a bound kernel shared by every lane, the
@@ -109,7 +117,7 @@ type Config struct {
 	FinalsOnly bool
 	Sel        int           // selection mode (Sel*)
 	Stats      *kernel.Stats // hot-path counters; may be nil
-	Hooks      Hooks         // per-run callbacks; needs one lane, trace mode
+	Hooks      Hooks         // per-run callbacks, FiringHooks also per firing; needs one lane, trace mode
 }
 
 // Result holds one block's outcomes, indexed by lane.
@@ -147,6 +155,7 @@ type block struct {
 	lanes   []lane
 	conc    []float64 // shared emission scratch, len NumSpecies
 	stats   *kernel.Stats
+	fired   FiringHooks // Config.Hooks if it has a per-firing hook
 }
 
 // Run executes the block to completion (or cancellation) and returns the
@@ -256,6 +265,7 @@ func newBlock(cfg Config) (*block, error) {
 		conc:    make([]float64, k.NumSpecies),
 		stats:   cfg.Stats,
 	}
+	b.fired, _ = cfg.Hooks.(FiringHooks)
 	useFen := cfg.Sel == SelFenwick || (cfg.Sel == SelAuto && k.NumReactions >= fenwickMinReactions)
 	for i := range b.lanes {
 		l := &b.lanes[i]
@@ -263,7 +273,7 @@ func newBlock(cfg Config) (*block, error) {
 		l.nextSample = cfg.SampleEvery
 		l.nextGuard = driftGuardEvery - 1
 		l.nextStop = l.nextGuard
-		if cfg.Hooks != nil {
+		if b.fired != nil {
 			l.nextStop = 1
 		}
 		for sp, c := range cfg.Init {
@@ -429,15 +439,14 @@ func (b *block) advance(ln int, quantum int) bool {
 }
 
 // stop is the firing loop's rare path, taken after the firing that brings
-// the lane's count to nextStop, with that firing's time and reaction: a
-// hooked lane's per-firing hook (an event that rewrote the counts forces an
-// exact recompute), then the drift guard when it is due. It returns the
-// running total and schedules the next stop: the next firing for a hooked
-// lane, the next drift guard otherwise.
+// the lane's count to nextStop, with that firing's time and reaction: the
+// per-firing hook (an event that rewrote the counts forces an exact
+// recompute), then the drift guard when it is due. It returns the running
+// total and schedules the next stop: the next firing for a lane with a
+// per-firing hook, the next drift guard otherwise.
 func (b *block) stop(ln, fired int, t, total float64, rx int) float64 {
 	l := &b.lanes[ln]
-	hooks := b.cfg.Hooks
-	if hooks != nil && hooks.Fired(t, rx, b.counts) {
+	if b.fired != nil && b.fired.Fired(t, rx, b.counts) {
 		b.recomputeLane(ln)
 		total = l.total
 	}
@@ -447,7 +456,7 @@ func (b *block) stop(ln, fired int, t, total float64, rx int) float64 {
 		total = l.total
 	}
 	l.nextStop = l.nextGuard
-	if hooks != nil {
+	if b.fired != nil {
 		l.nextStop = fired + 1
 	}
 	return total

@@ -202,10 +202,17 @@ func (h *recHooks) Fired(t float64, _ int, counts []float64) bool {
 
 func (h *recHooks) Sampled(t float64, conc []float64) { h.sampled++ }
 
+// sampleHooks has only the per-sample hook, like a run with watchers and
+// no events.
+type sampleHooks struct{ sampled int }
+
+func (h *sampleHooks) Sampled(t float64, conc []float64) { h.sampled++ }
+
 // TestEnsembleHooks checks a hooked block: one Fired call per firing in
 // time order, one Sampled call per trace row between t=0 and the horizon
-// row, the same trajectory as the tight loop, and an exact recompute after
-// a hook rewrites the counts.
+// row, the same trajectory as the tight loop with per-firing hooks or
+// per-sample hooks alone, and an exact recompute after a hook rewrites the
+// counts.
 func TestEnsembleHooks(t *testing.T) {
 	cfg := testConfig(t, chainNet(t, 10), 1, false)
 	cfg.TEnd, cfg.SampleEvery = 2, 0.01
@@ -228,6 +235,19 @@ func TestEnsembleHooks(t *testing.T) {
 	if hooked.Firings[0] != tight.Firings[0] || hooked.Finals[0][0] != tight.Finals[0][0] {
 		t.Errorf("hooked run diverged: %d firings, S0 %v; unhooked %d, %v",
 			hooked.Firings[0], hooked.Finals[0][0], tight.Firings[0], tight.Finals[0][0])
+	}
+	sh := &sampleHooks{}
+	cfg.Hooks = sh
+	sampled, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.sampled != h.sampled {
+		t.Errorf("per-sample hooks alone: Sampled %d times, with Fired %d", sh.sampled, h.sampled)
+	}
+	if sampled.Firings[0] != tight.Firings[0] || sampled.Finals[0][0] != tight.Finals[0][0] {
+		t.Errorf("per-sample hooked run diverged: %d firings, S0 %v; unhooked %d, %v",
+			sampled.Firings[0], sampled.Finals[0][0], tight.Firings[0], tight.Finals[0][0])
 	}
 
 	var stats kernel.Stats

@@ -172,8 +172,9 @@ type Config struct {
 	ODE ode.Options
 	// Solver selects the ODE integration strategy (Method == ODE only).
 	// The zero value, SolverAuto, starts with the explicit Dormand–Prince
-	// 5(4) method and hands off to the stiff Rosenbrock-W integrator when
-	// the error controller detects stiffness.
+	// 5(4) method and hands off to the stiff Rosenbrock-W integrator once
+	// the explicit step sits at its stability edge and the stiff method is
+	// predicted cheaper (see SolverAuto).
 	Solver Solver
 
 	// Unit is the system size Ω in molecules per concentration unit;
@@ -495,8 +496,9 @@ func (a kernelJac) Fill(_ float64, y, nz []float64)   { a.j.Fill(a.k, y, nz) }
 // runODE is the deterministic backend of Run; cfg has been normalized and
 // the network validated. The Solver knob picks the integrator: explicit
 // DP5(4), stiff Rosenbrock-W on the kernel's analytic sparse Jacobian, or —
-// the default — explicit with automatic handoff to stiff when the error
-// controller detects stiffness (ode.ErrStiff) or underflows its step size.
+// the default — explicit with handoff to stiff once the stiffness test
+// predicts the stiff method cheaper (ode.ErrStiff) or the explicit step
+// underflows.
 func runODE(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, error) {
 	y := n.Init()
 	st := &State{net: n, y: y}
@@ -553,6 +555,7 @@ func runODE(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, erro
 		opts := cfg.ODE
 		opts.StiffDetect = true
 		stats, err = ode.Integrate(ctx, deriv, y, 0, cfg.TEnd, opts, stepFn)
+		odeStats.HRho, odeStats.WorkRatio = stats.HRho, stats.WorkRatio
 		if err != nil && (errors.Is(err, ode.ErrStiff) || errors.Is(err, ode.ErrMinStep)) {
 			// The explicit method left y at the integration front and
 			// Stats.T at the time reached: resume from there with the

@@ -29,8 +29,10 @@ var ErrMaxFirings = ensemble.ErrMaxFirings
 //
 // A run with events or watchers hooks the block (ssaHooks); the hooks only
 // read the state unless an event rewrites the counts, so what watches a run
-// never changes its trajectory. An observer alone does not hook the block:
-// it sees the run's start, and its end with the engine's counters.
+// never changes its trajectory. Only events stop the firing loop after
+// every firing (eventHooks); watchers alone run per trace row. An observer
+// alone does not hook the block: it sees the run's start, and its end with
+// the engine's counters.
 func runSSA(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, error) {
 	k := cfg.compiled
 	if k == nil {
@@ -52,18 +54,21 @@ func runSSA(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, erro
 	}
 	var h *ssaHooks
 	if len(cfg.Events) > 0 || len(cfg.Watchers) > 0 {
-		h = &ssaHooks{k: k, unit: cfg.Unit, watchers: cfg.Watchers, events: cfg.Events}
+		h = &ssaHooks{watchers: cfg.Watchers}
+		ec.Hooks = h
+	}
+	if len(cfg.Events) > 0 {
 		conc := make([]float64, n.NumSpecies())
 		for i, c := range n.Init() {
 			conc[i] = math.Round(c*cfg.Unit) / cfg.Unit
 		}
-		h.st = State{net: n, y: conc}
 		for _, e := range cfg.Events {
 			if err := e.prepare(n, conc); err != nil {
 				return nil, err
 			}
 		}
-		ec.Hooks = h
+		ec.Hooks = &eventHooks{ssaHooks: h, k: k, unit: cfg.Unit, events: cfg.Events,
+			st: State{net: n, y: conc}}
 	}
 	sink, startWall, err := startRun(n, "ssa", cfg.TEnd, cfg.Obs, cfg.Watchers)
 	if err != nil {
@@ -101,22 +106,29 @@ func runSSA(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, erro
 	return tr, err
 }
 
-// ssaHooks are a hooked run's callbacks (ensemble.Hooks): the watchers, and
-// the injection events, whose probes read a concentration view kept current
-// for the species each firing changes.
+// ssaHooks are a hooked run's per-sample callbacks (ensemble.Hooks): the
+// watchers.
 type ssaHooks struct {
-	k        *kernel.Compiled
-	unit     float64
 	sink     obs.Observer // watcher event sink, never nil
 	watchers []obs.Watcher
-	events   []*Event
-	st       State // the events' concentration view
 }
 
-func (h *ssaHooks) Fired(t float64, rx int, counts []float64) bool {
-	if len(h.events) == 0 {
-		return false
-	}
+func (h *ssaHooks) Sampled(t float64, conc []float64) {
+	obs.ObserveAll(h.watchers, t, conc, h.sink)
+}
+
+// eventHooks add the injection events to a run's hooks
+// (ensemble.FiringHooks): their probes read a concentration view kept
+// current for the species each firing changes.
+type eventHooks struct {
+	*ssaHooks
+	k      *kernel.Compiled
+	unit   float64
+	events []*Event
+	st     State // the events' concentration view
+}
+
+func (h *eventHooks) Fired(t float64, rx int, counts []float64) bool {
 	conc := h.st.y
 	spec, _ := h.k.Deltas(rx)
 	for _, sp := range spec {
@@ -137,8 +149,4 @@ func (h *ssaHooks) Fired(t float64, rx int, counts []float64) bool {
 		}
 	}
 	return fired
-}
-
-func (h *ssaHooks) Sampled(t float64, conc []float64) {
-	obs.ObserveAll(h.watchers, t, conc, h.sink)
 }

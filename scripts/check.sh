@@ -32,6 +32,14 @@ if go list -deps ./internal/ode | grep -qx 'repro/internal/obs'; then
   exit 1
 fi
 
+# One stiffness detector: the automatic solver's handoff is the
+# eigenvalue-and-cost test in ode.Integrate. The rejection-window heuristic
+# it replaced must not come back beside it.
+if grep -rnE 'stiffWindow|stiffRejects|stiffHFrac' internal/ode/; then
+  echo 'check.sh: rejection-window stiffness heuristic reintroduced in internal/ode' >&2
+  exit 1
+fi
+
 # The batch engine, the HTTP server and the span tracer are the repo's
 # concurrency hot spots: run them twice under the race detector before
 # everything else so scheduling-order bugs surface fast. The kernel package
@@ -85,6 +93,11 @@ go test -run=NONE -bench 'EnsembleRing|SSARingSweepPerRun' -benchtime=1x -timeou
 # Stiff-solver bench smoke: one iteration of the BENCH_PR10.json gate set
 # (explicit vs stiff vs auto on the 458-reaction ring at fast/slow = 30000).
 go test -run=NONE -bench 'ODERing' -benchtime=1x -timeout 10m .
+
+# Differential fuzz smoke: drawn networks at drawn ratios and horizons
+# through all three solvers (the checked-in corpus replays in every plain
+# go test).
+go test -run '^$' -fuzz '^FuzzSolverFinals$' -fuzztime 20s .
 
 # The rate-law, derivative and Jacobian hot paths raise concentrations by
 # binary exponentiation (kernel.PowInt); a math.Pow call creeping into the

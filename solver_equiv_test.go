@@ -49,6 +49,65 @@ func TestRingSolverEquivalence(t *testing.T) {
 	}
 }
 
+// FuzzSolverFinals draws a network of the paper's circuit class (a random
+// signal-flow graph through synth), a fast/slow ratio in [100, 3000] and a
+// horizon in [1, 5], and compares the finals of the three solvers.
+//
+// The automatic solver must match the method it ended on: bit for bit the
+// explicit finals when it never handed off, and the stiff finals within
+// TestRingSolverEquivalence's bound, 10·RelTol·(1+|ref|), when it did, so
+// a handoff loses nothing. Explicit and stiff are held to each other
+// within 2e-3·(1+|ref|): on drawn networks near ratio 3000 the explicit
+// pair at its stability edge misses the clock phases by up to 6.5e-4 at
+// the default tolerances (300 draws: median 3.7e-7, 90th percentile
+// 1.5e-4), and a tight-tolerance rerun sides with the stiff finals to
+// within 1e-7.
+func FuzzSolverFinals(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(255))
+	f.Add(int64(2), uint16(20000), uint8(128))
+	f.Add(int64(3), uint16(45000), uint8(64))
+	f.Add(int64(4), uint16(65535), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, ratioU uint16, horizonU uint8) {
+		g := sfgtest.Random(t, rand.New(rand.NewSource(seed)))
+		cp, err := synth.Compile(g, "f")
+		if err != nil {
+			t.Fatalf("synth.Compile: %v", err)
+		}
+		ratio := 100 * math.Pow(30, float64(ratioU)/math.MaxUint16)
+		tEnd := 1 + 4*float64(horizonU)/math.MaxUint8
+		finals := map[sim.Solver][]float64{}
+		var names []string
+		capt := &odeEndCapture{}
+		for _, s := range sim.Solvers() {
+			cfg := sim.Config{Method: sim.ODE, Solver: s, Rates: sim.Rates{Fast: ratio, Slow: 1}, TEnd: tEnd}
+			if s == sim.SolverAuto {
+				cfg.Obs = capt
+			}
+			tr, err := sim.Run(context.Background(), cp.Circuit.Net, cfg)
+			if err != nil {
+				t.Fatalf("solver %v at ratio %g over %g: %v", s, ratio, tEnd, err)
+			}
+			finals[s] = tr.Rows[len(tr.Rows)-1]
+			names = tr.Names
+		}
+		relTol := 1e-6 // ode.Options default
+		check := func(s, ref sim.Solver, bound float64) {
+			for i, r := range finals[ref] {
+				if diff := math.Abs(finals[s][i] - r); diff > bound*(1+math.Abs(r)) {
+					t.Errorf("ratio %g over %g: %v species %s: %g vs %v %g (|Δ|=%g)",
+						ratio, tEnd, s, names[i], finals[s][i], ref, r, diff)
+				}
+			}
+		}
+		if capt.end.ODE.Switched {
+			check(sim.SolverAuto, sim.SolverStiff, 10*relTol)
+		} else {
+			check(sim.SolverAuto, sim.SolverExplicit, 0)
+		}
+		check(sim.SolverStiff, sim.SolverExplicit, 2e-3)
+	})
+}
+
 // TestSynthJacobianProperty is the integration-level Jacobian property test:
 // networks are not hand-rolled but synthesized from randomized signal-flow
 // graphs (the repo's real workload generator), then every dense Jacobian
