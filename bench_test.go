@@ -319,16 +319,16 @@ func benchBatchEnsemble(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := batch.Map(context.Background(), 8, func(ctx context.Context, p batch.Point) (float64, error) {
+		_, err := batch.Map(context.Background(), 8, func(ctx context.Context, j int) (float64, error) {
 			tr, err := sim.Run(ctx, n, sim.Config{
 				Method: sim.SSA, Rates: sim.Rates{Fast: 300, Slow: 1},
-				TEnd: 20, Unit: 100, Seed: p.Seed,
+				TEnd: 20, Unit: 100, Seed: batch.DeriveSeed(int64(i+1), j),
 			})
 			if err != nil {
 				return 0, err
 			}
 			return tr.Final("clk.CR"), nil
-		}, batch.Options{Workers: workers, Seed: int64(i + 1)})
+		}, batch.Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}

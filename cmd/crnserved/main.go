@@ -62,7 +62,6 @@ type options struct {
 	maxJobs      int
 	cacheSize    int
 	maxSims      int
-	workers      int
 	simTimeout   time.Duration
 	drainTimeout time.Duration
 	retainJobs   int
@@ -82,7 +81,6 @@ func main() {
 	flag.IntVar(&o.maxJobs, "max-jobs", 64, "concurrently active job limit")
 	flag.IntVar(&o.cacheSize, "cache", 128, "network/response cache entries (negative disables caching)")
 	flag.IntVar(&o.maxSims, "max-sims", 0, "concurrent simulation bound (0 = NumCPU)")
-	flag.IntVar(&o.workers, "workers", 0, "batch pool workers per job (0 = NumCPU)")
 	flag.DurationVar(&o.simTimeout, "sim-timeout", 60*time.Second, "per-simulation deadline ceiling")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	flag.IntVar(&o.retainJobs, "retain-jobs", 256, "finished jobs kept queryable")
@@ -116,7 +114,6 @@ func serve(ctx context.Context, o options, ready, debugReady chan<- net.Addr) er
 		CacheSize:         o.cacheSize,
 		MaxConcurrentSims: o.maxSims,
 		SimTimeout:        o.simTimeout,
-		Workers:           o.workers,
 		RetainJobs:        o.retainJobs,
 		TraceCapacity:     o.traceCap,
 		EventBuffer:       o.eventBuf,

@@ -82,12 +82,10 @@ func main() {
 	cfg := exper.Config{Quick: *quick, Seed: *seed, Workers: *parallel, Lanes: *lanes}
 	var reg *obs.Registry
 	if *metrics != "" {
+		// Every run, grid job or sequential, reports into this registry as
+		// it ends.
 		reg = obs.NewRegistry()
 		cfg.Metrics = reg
-		// Grid jobs report through per-worker shards merged into
-		// cfg.Metrics; every other run through this observer, which keeps
-		// no per-run state and so may be shared by concurrent runs.
-		cfg.Obs = obs.NewRegistryObserver(reg)
 	}
 
 	failed := false

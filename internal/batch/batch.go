@@ -3,13 +3,13 @@
 // (network, rates, seed, method, horizon) grid point — across a bounded pool
 // of goroutines while keeping the results bit-identical to a sequential run:
 //
-//   - per-job seeds come from DeriveSeed, a pure function of (base seed, job
-//     index), so they do not depend on worker count or scheduling;
+//   - jobs are identified by their index alone, so a job's inputs (and any
+//     seed derived with DeriveSeed) do not depend on worker count or
+//     scheduling;
 //   - Map stores each result at its job index, so output order is the
 //     submission order no matter which worker finished first;
-//   - instrumentation goes to per-worker registry shards that are merged
-//     after the pool drains, so the observer hot path never contends on a
-//     shared registry.
+//   - the engine's metrics go straight into Options.Metrics as each job
+//     ends, so a scrape during a sweep sees the jobs finished so far.
 //
 // Cancellation is cooperative through context.Context: the pool context is
 // checked before every job, per-job deadlines come from Options.JobTimeout,
@@ -33,23 +33,11 @@ import (
 	"repro/internal/obs/span"
 )
 
-// Point identifies one job handed to a Func: its index in the job set, the
-// worker executing it, the seed derived for it, and an observer writing to
-// the executing worker's registry shard (nil unless Options.Metrics is set).
-// The observer is stateless, so the Func may pass it straight into a
-// simulator config without any locking concerns.
-type Point struct {
-	Index  int
-	Worker int
-	Seed   int64
-	Obs    obs.Observer
-}
-
-// Func executes one job. The context carries pool cancellation and the
+// Func executes job i. The context carries pool cancellation and the
 // per-job deadline; implementations should hand it to Run/Integrate so a
 // canceled batch stops mid-simulation. A panic in a Func is recovered and
 // reported as that job's error; the worker survives.
-type Func func(ctx context.Context, p Point) error
+type Func func(ctx context.Context, i int) error
 
 // Policy selects how the pool reacts to a failing job.
 type Policy int
@@ -64,13 +52,11 @@ const (
 )
 
 // Options configures a batch run. The zero value runs with runtime.NumCPU()
-// workers, base seed 0, no per-job timeout, FailFast, and no metrics.
+// workers, no per-job timeout, FailFast, and no metrics.
 type Options struct {
 	// Workers bounds pool size; 0 selects runtime.NumCPU(). The pool never
 	// starts more workers than there are jobs.
 	Workers int
-	// Seed is the base for DeriveSeed; job i receives DeriveSeed(Seed, i).
-	Seed int64
 	// JobTimeout, when positive, bounds each job's wall-clock time through a
 	// per-job context deadline.
 	JobTimeout time.Duration
@@ -78,13 +64,12 @@ type Options struct {
 	Policy Policy
 	// Metrics, when non-nil, receives the engine's own metrics
 	// (batch_jobs_total{worker=}, batch_failures_total,
-	// batch_queue_wait_seconds, batch_job_seconds, batch_workers), the
+	// batch_queue_wait_seconds, batch_job_seconds, batch_workers) and the
 	// per-job resource attribution counters
 	// (job_cpu_seconds{kind="batch"}, job_allocs_total{kind="batch"},
 	// job_alloc_bytes_total{kind="batch"} — process-global deltas bracketed
-	// around each job, approximate under concurrency; see DESIGN.md) plus
-	// whatever the per-job observers record, all merged from the worker
-	// shards after the pool drains.
+	// around each job, approximate under concurrency; see DESIGN.md), each
+	// written as its job ends.
 	Metrics *obs.Registry
 }
 
@@ -110,111 +95,87 @@ func (e *JobError) Error() string { return fmt.Sprintf("batch: job %d: %v", e.In
 // Unwrap exposes the underlying error to errors.Is / errors.As.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// Report summarises a batch run.
-type Report struct {
-	Jobs      int           // jobs submitted
-	Completed int           // jobs that ran to success
-	Skipped   int           // jobs never started because the pool was canceled
-	Workers   int           // workers actually started
-	Wall      time.Duration // wall-clock time of the whole batch
-	Errors    []*JobError   // failed jobs, sorted by index
-}
-
 // Run executes jobs 0..jobs-1 through fn on a worker pool and blocks until
-// the pool drains. The returned Report is always non-nil. The error is nil
-// only if every job completed: under FailFast it is the lowest-indexed
-// observed failure, under CollectAll all failures joined, and if ctx itself
-// was canceled the cancellation cause wrapped with progress so far.
+// the pool drains. The error is nil only if every job completed: under
+// FailFast it is the lowest-indexed observed failure, under CollectAll all
+// failures joined in index order, and if ctx itself was canceled the
+// cancellation cause wrapped with progress so far.
 //
 // When ctx carries a span, every job runs under its own child span
 // (batch.job[i], span ID derived deterministically from the parent span and
-// the job index) recording the worker, derived seed, queue wait, job
-// duration and attributed resource cost (job.cpu_seconds, job.alloc_bytes,
-// job.allocs); the job's context carries that span, so simulators started
-// by fn parent their sim spans under it.
-func Run(ctx context.Context, jobs int, fn Func, opts Options) (*Report, error) {
+// the job index) recording the worker, queue wait, job duration and
+// attributed resource cost (job.cpu_seconds, job.alloc_bytes, job.allocs);
+// the job's context carries that span, so simulators started by fn parent
+// their sim spans under it.
+func Run(ctx context.Context, jobs int, fn Func, opts Options) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rep := &Report{Jobs: jobs}
 	if jobs <= 0 {
-		return rep, nil
+		return nil
 	}
 	nw := opts.workers(jobs)
-	rep.Workers = nw
 	start := time.Now()
 
 	poolCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	type queued struct {
-		idx int
-		enq time.Time
-	}
-	queue := make(chan queued, jobs)
+	queue := make(chan int, jobs)
 	for i := 0; i < jobs; i++ {
-		queue <- queued{i, start}
+		queue <- i
 	}
 	close(queue)
 
-	shards := make([]*obs.Registry, nw)
+	reg := opts.Metrics
+	parent := span.FromContext(ctx)
+	measure := reg != nil || parent != nil
 	var (
-		mu   sync.Mutex
-		errs []*JobError
+		waitH, runH            *obs.Histogram
+		cpuC, nallocC, ballocC *obs.Counter
 	)
-	var wg sync.WaitGroup
+	if reg != nil {
+		reg.Gauge("batch_workers").Set(float64(nw))
+		waitH = reg.Histogram("batch_queue_wait_seconds", timeBuckets())
+		runH = reg.Histogram("batch_job_seconds", timeBuckets())
+		cpuC = reg.Counter(obs.Label("job_cpu_seconds", "kind", "batch"))
+		nallocC = reg.Counter(obs.Label("job_allocs_total", "kind", "batch"))
+		ballocC = reg.Counter(obs.Label("job_alloc_bytes_total", "kind", "batch"))
+	}
+	var (
+		mu                 sync.Mutex
+		errs               []*JobError
+		completed, skipped int
+		wg                 sync.WaitGroup
+	)
 	for w := 0; w < nw; w++ {
-		if opts.Metrics != nil {
-			shards[w] = obs.NewRegistry()
-		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			shard := shards[w]
-			var (
-				jobsC   *obs.Counter
-				waitH   *obs.Histogram
-				runH    *obs.Histogram
-				cpuC    *obs.Counter
-				nallocC *obs.Counter
-				ballocC *obs.Counter
-				// pointObs is a plain obs.Observer so a nil observer
-				// stays a nil interface in Point.
-				pointObs obs.Observer
-			)
-			if shard != nil {
-				jobsC = shard.Counter(obs.Label("batch_jobs_total", "worker", fmt.Sprintf("w%d", w)))
-				waitH = shard.Histogram("batch_queue_wait_seconds", timeBuckets())
-				runH = shard.Histogram("batch_job_seconds", timeBuckets())
-				cpuC = shard.Counter(obs.Label("job_cpu_seconds", "kind", "batch"))
-				nallocC = shard.Counter(obs.Label("job_allocs_total", "kind", "batch"))
-				ballocC = shard.Counter(obs.Label("job_alloc_bytes_total", "kind", "batch"))
-				pointObs = obs.NewRegistryObserver(shard)
+			var jobsC *obs.Counter
+			if reg != nil {
+				jobsC = reg.Counter(obs.Label("batch_jobs_total", "worker", fmt.Sprintf("w%d", w)))
 			}
-			for q := range queue {
+			for i := range queue {
 				if poolCtx.Err() != nil {
 					mu.Lock()
-					rep.Skipped++
+					skipped++
 					mu.Unlock()
 					continue
 				}
-				wait := time.Since(q.enq).Seconds()
-				if waitH != nil {
+				wait := time.Since(start).Seconds()
+				if reg != nil {
 					waitH.Observe(wait)
 				}
-				p := Point{Index: q.idx, Worker: w, Seed: DeriveSeed(opts.Seed, q.idx), Obs: pointObs}
 				jobCtx := poolCtx
 				var jobSpan *span.Span
-				if parent := span.FromContext(ctx); parent != nil {
+				if parent != nil {
 					// The span ID is derived from (parent, index) with the
-					// same SplitMix64 finalizer as the job seed, so a job's
-					// identity in an exported trace — like its RNG stream —
-					// is a pure function of the submission, not of which
-					// worker picked it up.
-					jobSpan = parent.ChildAt(q.idx, fmt.Sprintf("batch.job[%d]", q.idx))
-					jobSpan.SetAttr("job.index", q.idx)
+					// same SplitMix64 finalizer as DeriveSeed, so a job's
+					// identity in an exported trace is a pure function of
+					// the submission, not of which worker picked it up.
+					jobSpan = parent.ChildAt(i, fmt.Sprintf("batch.job[%d]", i))
+					jobSpan.SetAttr("job.index", i)
 					jobSpan.SetAttr("job.worker", w)
-					jobSpan.SetAttr("job.seed", p.Seed)
 					jobSpan.SetAttr("job.queue_wait_seconds", wait)
 					jobCtx = span.NewContext(poolCtx, jobSpan)
 				}
@@ -224,14 +185,13 @@ func Run(ctx context.Context, jobs int, fn Func, opts Options) (*Report, error) 
 				// worker is the only load, approximate (over-attributed)
 				// under concurrency, but the sum across jobs still bounds
 				// the true batch total. Only measured when someone is
-				// looking (a metrics shard or a job span).
-				measure := shard != nil || span.FromContext(ctx) != nil
+				// looking (a registry or a job span).
 				var u0 proc.Usage
 				if measure {
 					u0 = proc.ReadUsage()
 				}
 				t0 := time.Now()
-				err := runOne(jobCtx, fn, p, opts.JobTimeout)
+				err := runOne(jobCtx, fn, i, opts.JobTimeout)
 				el := time.Since(t0).Seconds()
 				var du proc.Usage
 				if measure {
@@ -245,85 +205,72 @@ func Run(ctx context.Context, jobs int, fn Func, opts Options) (*Report, error) 
 					jobSpan.SetError(err)
 					jobSpan.End()
 				}
-				if shard != nil {
+				if reg != nil {
+					runH.Observe(el)
 					cpuC.Add(du.CPUSeconds)
 					nallocC.Add(du.AllocObjects)
 					ballocC.Add(du.AllocBytes)
-				}
-				if runH != nil {
-					runH.Observe(el)
-				}
-				if jobsC != nil {
 					jobsC.Inc()
+					if err != nil {
+						reg.Counter("batch_failures_total").Inc()
+					}
 				}
 				mu.Lock()
 				if err != nil {
-					errs = append(errs, &JobError{Index: q.idx, Err: err})
-					if shard != nil {
-						shard.Counter("batch_failures_total").Inc()
-					}
+					errs = append(errs, &JobError{Index: i, Err: err})
 					if opts.Policy == FailFast {
-						cancel(fmt.Errorf("batch: job %d failed: %w", q.idx, err))
+						cancel(fmt.Errorf("batch: job %d failed: %w", i, err))
 					}
 				} else {
-					rep.Completed++
+					completed++
 				}
 				mu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
-	rep.Wall = time.Since(start)
 	sort.Slice(errs, func(i, j int) bool { return errs[i].Index < errs[j].Index })
-	rep.Errors = errs
-
-	if opts.Metrics != nil {
-		opts.Metrics.Gauge("batch_workers").Set(float64(nw))
-		for _, s := range shards {
-			opts.Metrics.Merge(s)
-		}
-	}
 
 	if err := ctx.Err(); err != nil {
-		return rep, fmt.Errorf("batch: canceled after %d of %d jobs (%d skipped): %w",
-			rep.Completed, jobs, rep.Skipped, context.Cause(ctx))
+		return fmt.Errorf("batch: canceled after %d of %d jobs (%d skipped): %w",
+			completed, jobs, skipped, context.Cause(ctx))
 	}
 	if len(errs) > 0 {
 		if opts.Policy == FailFast {
-			return rep, errs[0]
+			return errs[0]
 		}
 		joined := make([]error, len(errs))
 		for i, e := range errs {
 			joined[i] = e
 		}
-		return rep, errors.Join(joined...)
+		return errors.Join(joined...)
 	}
-	return rep, nil
+	return nil
 }
 
 // Map runs fn over jobs 0..jobs-1 like Run and collects the results in job
 // order: out[i] is job i's value regardless of which worker produced it or
 // when, which is what makes a parallel sweep's table identical to the
-// sequential one. Failed or skipped jobs leave the zero value at their index;
-// the Report tells them apart from legitimate zeros.
-func Map[T any](ctx context.Context, jobs int, fn func(ctx context.Context, p Point) (T, error), opts Options) ([]T, *Report, error) {
+// sequential one. Failed or skipped jobs leave the zero value at their
+// index; the error's JobError indexes tell them apart from legitimate zeros.
+func Map[T any](ctx context.Context, jobs int, fn func(ctx context.Context, i int) (T, error), opts Options) ([]T, error) {
 	out := make([]T, max(jobs, 0))
-	rep, err := Run(ctx, jobs, func(ctx context.Context, p Point) error {
-		v, ferr := fn(ctx, p)
+	err := Run(ctx, jobs, func(ctx context.Context, i int) error {
+		v, ferr := fn(ctx, i)
 		if ferr != nil {
 			return ferr
 		}
-		out[p.Index] = v
+		out[i] = v
 		return nil
 	}, opts)
-	return out, rep, err
+	return out, err
 }
 
-// runOne executes a single job with panic recovery and the per-job deadline.
-func runOne(ctx context.Context, fn Func, p Point, timeout time.Duration) (err error) {
+// runOne executes job i with panic recovery and the per-job deadline.
+func runOne(ctx context.Context, fn Func, i int, timeout time.Duration) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("batch: job %d panicked: %v\n%s", p.Index, r, debug.Stack())
+			err = fmt.Errorf("batch: job %d panicked: %v\n%s", i, r, debug.Stack())
 		}
 	}()
 	if timeout > 0 {
@@ -331,7 +278,7 @@ func runOne(ctx context.Context, fn Func, p Point, timeout time.Duration) (err e
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	return fn(ctx, p)
+	return fn(ctx, i)
 }
 
 // DeriveSeed maps (base, index) to a per-job RNG seed with the SplitMix64

@@ -17,7 +17,7 @@ import (
 
 func TestRunZeroJobs(t *testing.T) {
 	called := false
-	rep, err := batch.Run(context.Background(), 0, func(context.Context, batch.Point) error {
+	err := batch.Run(context.Background(), 0, func(context.Context, int) error {
 		called = true
 		return nil
 	}, batch.Options{})
@@ -27,37 +27,37 @@ func TestRunZeroJobs(t *testing.T) {
 	if called {
 		t.Fatal("fn called for an empty job set")
 	}
-	if rep.Jobs != 0 || rep.Completed != 0 || rep.Workers != 0 {
-		t.Fatalf("report = %+v, want all-zero", rep)
-	}
 }
 
 func TestRunNilContext(t *testing.T) {
-	rep, err := batch.Run(nil, 3, func(ctx context.Context, p batch.Point) error {
+	var ran atomic.Int32
+	err := batch.Run(nil, 3, func(ctx context.Context, i int) error {
 		if ctx == nil {
 			return errors.New("nil ctx reached fn")
 		}
+		ran.Add(1)
 		return nil
 	}, batch.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Completed != 3 {
-		t.Fatalf("Completed = %d, want 3", rep.Completed)
+	if ran.Load() != 3 {
+		t.Fatalf("ran %d jobs, want 3", ran.Load())
 	}
 }
 
 // TestMapDeterministic is the engine's core guarantee: result order and
-// per-job seeds must not depend on the worker count.
+// the seeds jobs derive from their index must not depend on the worker
+// count.
 func TestMapDeterministic(t *testing.T) {
-	fn := func(_ context.Context, p batch.Point) (string, error) {
-		return fmt.Sprintf("job%d:seed%d", p.Index, p.Seed), nil
+	fn := func(_ context.Context, i int) (string, error) {
+		return fmt.Sprintf("job%d:seed%d", i, batch.DeriveSeed(42, i)), nil
 	}
-	seq, _, err := batch.Map(context.Background(), 50, fn, batch.Options{Workers: 1, Seed: 42})
+	seq, err := batch.Map(context.Background(), 50, fn, batch.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := batch.Map(context.Background(), 50, fn, batch.Options{Workers: 8, Seed: 42})
+	par, err := batch.Map(context.Background(), 50, fn, batch.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +85,31 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
+// jobErrors unpacks a CollectAll error into its per-job failures, in the
+// order Run joined them.
+func jobErrors(t *testing.T, err error) []*batch.JobError {
+	t.Helper()
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		t.Fatalf("err = %v (%T), want a joined CollectAll error", err, err)
+	}
+	var out []*batch.JobError
+	for _, e := range joined.Unwrap() {
+		var je *batch.JobError
+		if !errors.As(e, &je) {
+			t.Fatalf("joined error %v is not a *batch.JobError", e)
+		}
+		out = append(out, je)
+	}
+	return out
+}
+
 // TestPanicRecovery: a panicking job must surface as that job's error with a
 // stack trace while its worker keeps draining the queue.
 func TestPanicRecovery(t *testing.T) {
 	var completed atomic.Int32
-	rep, err := batch.Run(context.Background(), 8, func(_ context.Context, p batch.Point) error {
-		if p.Index == 3 {
+	err := batch.Run(context.Background(), 8, func(_ context.Context, i int) error {
+		if i == 3 {
 			panic("boom")
 		}
 		completed.Add(1)
@@ -105,11 +124,11 @@ func TestPanicRecovery(t *testing.T) {
 	if !strings.Contains(err.Error(), "batch_test.go") {
 		t.Fatalf("error lacks a stack trace: %v", err)
 	}
-	if completed.Load() != 7 || rep.Completed != 7 {
-		t.Fatalf("completed = %d (report %d), want 7", completed.Load(), rep.Completed)
+	if completed.Load() != 7 {
+		t.Fatalf("completed = %d, want 7", completed.Load())
 	}
-	if len(rep.Errors) != 1 || rep.Errors[0].Index != 3 {
-		t.Fatalf("Errors = %+v, want exactly job 3", rep.Errors)
+	if errs := jobErrors(t, err); len(errs) != 1 || errs[0].Index != 3 {
+		t.Fatalf("failures = %+v, want exactly job 3", errs)
 	}
 }
 
@@ -118,9 +137,9 @@ func TestPanicRecovery(t *testing.T) {
 func TestFailFastSkipsQueue(t *testing.T) {
 	var ran atomic.Int32
 	sentinel := errors.New("first job broke")
-	rep, err := batch.Run(context.Background(), 64, func(_ context.Context, p batch.Point) error {
+	err := batch.Run(context.Background(), 64, func(_ context.Context, i int) error {
 		ran.Add(1)
-		if p.Index == 0 {
+		if i == 0 {
 			return sentinel
 		}
 		time.Sleep(time.Millisecond)
@@ -133,11 +152,8 @@ func TestFailFastSkipsQueue(t *testing.T) {
 	if !errors.As(err, &je) || je.Index != 0 {
 		t.Fatalf("err = %v, want a *batch.JobError for job 0", err)
 	}
-	if rep.Skipped == 0 {
-		t.Fatalf("no jobs skipped after batch.FailFast failure (ran %d)", ran.Load())
-	}
-	if rep.Completed+rep.Skipped+len(rep.Errors) != rep.Jobs {
-		t.Fatalf("report does not account for every job: %+v", rep)
+	if ran.Load() == 64 {
+		t.Fatal("no jobs skipped after batch.FailFast failure")
 	}
 }
 
@@ -145,22 +161,23 @@ func TestFailFastSkipsQueue(t *testing.T) {
 // failures.
 func TestCollectAllRunsEverything(t *testing.T) {
 	var ran atomic.Int32
-	rep, err := batch.Run(context.Background(), 20, func(_ context.Context, p batch.Point) error {
+	err := batch.Run(context.Background(), 20, func(_ context.Context, i int) error {
 		ran.Add(1)
-		if p.Index%5 == 0 {
-			return fmt.Errorf("job %d failed", p.Index)
+		if i%5 == 0 {
+			return fmt.Errorf("job %d failed", i)
 		}
 		return nil
 	}, batch.Options{Workers: 4, Policy: batch.CollectAll})
 	if ran.Load() != 20 {
 		t.Fatalf("ran %d jobs, want all 20", ran.Load())
 	}
-	if len(rep.Errors) != 4 {
-		t.Fatalf("Errors = %d, want 4", len(rep.Errors))
+	errs := jobErrors(t, err)
+	if len(errs) != 4 {
+		t.Fatalf("failures = %d, want 4", len(errs))
 	}
-	for i, je := range rep.Errors {
+	for i, je := range errs {
 		if je.Index != i*5 {
-			t.Fatalf("Errors not sorted by index: %+v", rep.Errors)
+			t.Fatalf("failures not sorted by index: %+v", errs)
 		}
 	}
 	for i := 0; i < 20; i += 5 {
@@ -175,10 +192,11 @@ func TestCollectAllRunsEverything(t *testing.T) {
 func TestExternalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)
-	rep, errCh := (*batch.Report)(nil), make(chan error, 1)
-	var repCh = make(chan *batch.Report, 1)
+	var ran atomic.Int32
+	errCh := make(chan error, 1)
 	go func() {
-		r, err := batch.Run(ctx, 100, func(jctx context.Context, p batch.Point) error {
+		errCh <- batch.Run(ctx, 100, func(jctx context.Context, i int) error {
+			ran.Add(1)
 			select {
 			case started <- struct{}{}:
 			default:
@@ -190,65 +208,81 @@ func TestExternalCancellation(t *testing.T) {
 				return errors.New("job outlived the cancellation")
 			}
 		}, batch.Options{Workers: 2, Policy: batch.CollectAll})
-		repCh <- r
-		errCh <- err
 	}()
 	<-started
 	cancel()
+	var err error
 	select {
-	case rep = <-repCh:
+	case err = <-errCh:
 	case <-time.After(5 * time.Second):
 		t.Fatal("pool did not drain within 5s of cancellation")
 	}
-	err := <-errCh
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if rep.Skipped == 0 {
-		t.Fatalf("expected queued jobs to be skipped, report %+v", rep)
+	if !strings.Contains(err.Error(), "batch: canceled after 0 of 100 jobs") {
+		t.Fatalf("err = %v, want the progress-so-far message", err)
+	}
+	if ran.Load() >= 100 {
+		t.Fatalf("ran %d jobs, expected queued jobs to be skipped", ran.Load())
 	}
 }
 
 // TestJobTimeout bounds a single runaway job without touching its siblings.
 func TestJobTimeout(t *testing.T) {
-	rep, err := batch.Run(context.Background(), 4, func(ctx context.Context, p batch.Point) error {
-		if p.Index == 1 {
+	var completed atomic.Int32
+	err := batch.Run(context.Background(), 4, func(ctx context.Context, i int) error {
+		if i == 1 {
 			<-ctx.Done() // runaway job, stopped only by its deadline
 			return ctx.Err()
 		}
+		completed.Add(1)
 		return nil
 	}, batch.Options{Workers: 2, JobTimeout: 20 * time.Millisecond, Policy: batch.CollectAll})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
-	if rep.Completed != 3 || len(rep.Errors) != 1 || rep.Errors[0].Index != 1 {
-		t.Fatalf("report = %+v, want 3 completed and job 1 failed", rep)
+	if errs := jobErrors(t, err); completed.Load() != 3 || len(errs) != 1 || errs[0].Index != 1 {
+		t.Fatalf("completed %d, failures %+v; want 3 completed and job 1 failed", completed.Load(), errs)
 	}
 }
 
-// TestMetricsMerged: engine metrics from every worker shard must land in the
-// target registry.
+// TestMetricsMerged: engine metrics from every worker land in the target
+// registry, each written as its job ends, so a job reads the counts of the
+// jobs its worker finished before it.
 func TestMetricsMerged(t *testing.T) {
 	reg := obs.NewRegistry()
 	const jobs = 12
-	_, err := batch.Run(context.Background(), jobs, func(_ context.Context, p batch.Point) error {
-		if p.Obs == nil {
-			return errors.New("Metrics set but batch.Point.Obs is nil")
+	err := batch.Run(context.Background(), jobs, func(_ context.Context, i int) error {
+		// One worker runs the jobs in index order, so job i sees i jobs done.
+		if got := reg.Snapshot()["batch_job_seconds_count"]; got != float64(i) {
+			return fmt.Errorf("job %d read batch_job_seconds_count = %g, want %d", i, got, i)
+		}
+		if i == jobs-1 {
+			return errors.New("last job fails")
 		}
 		return nil
-	}, batch.Options{Workers: 3, Metrics: reg})
-	if err != nil {
+	}, batch.Options{Workers: 1, Metrics: reg, Policy: batch.CollectAll})
+	var je *batch.JobError
+	if !errors.As(err, &je) || je.Index != jobs-1 || !strings.Contains(err.Error(), "last job fails") {
+		t.Fatalf("err = %v, want only the last job's failure", err)
+	}
+	if err := batch.Run(context.Background(), jobs, func(context.Context, int) error { return nil },
+		batch.Options{Workers: 3, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
 	if got := snap["batch_workers"]; got != 3 {
 		t.Fatalf("batch_workers = %g, want 3", got)
 	}
-	if got := snap["batch_queue_wait_seconds_count"]; got != jobs {
-		t.Fatalf("queue-wait observations = %g, want %d", got, jobs)
+	if got := snap["batch_queue_wait_seconds_count"]; got != 2*jobs {
+		t.Fatalf("queue-wait observations = %g, want %d", got, 2*jobs)
 	}
-	if got := snap["batch_job_seconds_count"]; got != jobs {
-		t.Fatalf("job-duration observations = %g, want %d", got, jobs)
+	if got := snap["batch_job_seconds_count"]; got != 2*jobs {
+		t.Fatalf("job-duration observations = %g, want %d", got, 2*jobs)
+	}
+	if got := snap["batch_failures_total"]; got != 1 {
+		t.Fatalf("batch_failures_total = %g, want 1", got)
 	}
 	total := 0.0
 	for name, v := range snap {
@@ -256,8 +290,8 @@ func TestMetricsMerged(t *testing.T) {
 			total += v
 		}
 	}
-	if total != jobs {
-		t.Fatalf("summed per-worker batch_jobs_total = %g, want %d", total, jobs)
+	if total != 2*jobs {
+		t.Fatalf("summed per-worker batch_jobs_total = %g, want %d", total, 2*jobs)
 	}
 }
 
@@ -278,9 +312,9 @@ func flipNet(t *testing.T) *crn.Network {
 // the per-job deadline actually interrupts the firing loop.
 func TestSimJobTimeout(t *testing.T) {
 	n := flipNet(t)
-	_, err := batch.Run(context.Background(), 2, func(ctx context.Context, p batch.Point) error {
+	err := batch.Run(context.Background(), 2, func(ctx context.Context, i int) error {
 		_, serr := sim.Run(ctx, n, sim.Config{
-			Method: sim.SSA, TEnd: 1e12, Unit: 1000, SampleEvery: 1e9, Seed: p.Seed,
+			Method: sim.SSA, TEnd: 1e12, Unit: 1000, SampleEvery: 1e9, Seed: batch.DeriveSeed(0, i),
 		})
 		return serr
 	}, batch.Options{Workers: 2, JobTimeout: 50 * time.Millisecond, Policy: batch.CollectAll})
@@ -297,15 +331,15 @@ func TestSimJobTimeout(t *testing.T) {
 func TestSimParallelDeterminism(t *testing.T) {
 	n := flipNet(t)
 	runGrid := func(workers int) [][]float64 {
-		finals, _, err := batch.Map(context.Background(), 6, func(ctx context.Context, p batch.Point) ([]float64, error) {
+		finals, err := batch.Map(context.Background(), 6, func(ctx context.Context, i int) ([]float64, error) {
 			tr, serr := sim.Run(ctx, n, sim.Config{
-				Method: sim.SSA, TEnd: 1, Unit: 200, SampleEvery: 0.1, Seed: p.Seed,
+				Method: sim.SSA, TEnd: 1, Unit: 200, SampleEvery: 0.1, Seed: batch.DeriveSeed(99, i),
 			})
 			if serr != nil {
 				return nil, serr
 			}
 			return []float64{tr.Final("A"), tr.Final("B")}, nil
-		}, batch.Options{Workers: workers, Seed: 99})
+		}, batch.Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,12 +43,12 @@ func runE11(ctx context.Context, cfg Config) (*Result, error) {
 		{feedback: true}, {feedback: false},
 		{restore: true}, {restore: false},
 	}
-	rowPairs, _, err := batch.Map(ctx, len(variants), func(ctx context.Context, p batch.Point) ([][]string, error) {
-		if p.Index < 2 {
+	rowPairs, err := batch.Map(ctx, len(variants), func(ctx context.Context, i int) ([][]string, error) {
+		if i < 2 {
 			// Ablation 1: the abstract's positive-feedback dimers. Build the
 			// single-member clock loop with and without them and compare
 			// phase crispness (peak concentration reached by each phase).
-			feedback := variants[p.Index].feedback
+			feedback := variants[i].feedback
 			n := crn.NewNetwork()
 			s := phases.NewScheme(n, "ph")
 			if !feedback {
@@ -70,7 +70,7 @@ func runE11(ctx context.Context, cfg Config) (*Result, error) {
 			if err := n.SetInit("R", 1); err != nil {
 				return nil, err
 			}
-			tr, err := sim.Run(ctx, n, sim.Config{Rates: sim.Rates{Fast: 1000, Slow: 1}, TEnd: 150, Obs: cfg.pointObs(p)})
+			tr, err := sim.Run(ctx, n, sim.Config{Rates: sim.Rates{Fast: 1000, Slow: 1}, TEnd: 150, Obs: cfg.observer()})
 			if err != nil {
 				return nil, err
 			}
@@ -96,7 +96,7 @@ func runE11(ctx context.Context, cfg Config) (*Result, error) {
 		// Ablation 2: dual-rail signal restoration in the FSM compiler. Run
 		// the 3-bit counter both ways and compare the worst rail margin and
 		// decode correctness over the horizon.
-		restore := variants[p.Index].restore
+		restore := variants[i].restore
 		f, err := logic.Counter(3)
 		if err != nil {
 			return nil, err
@@ -105,7 +105,7 @@ func runE11(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Obs = cfg.pointObs(p)
+		m.Obs = cfg.observer()
 		tr, err := m.RunContext(ctx, sim.Rates{Fast: ratio, Slow: 1}, tEnd)
 		if err != nil {
 			return nil, err

@@ -109,7 +109,7 @@ func runE2(ctx context.Context, cfg Config) (*Result, error) {
 	if err := net.SetInit(ch.Input, 1); err != nil {
 		return nil, err
 	}
-	tr, err := sim.Run(ctx, net, sim.Config{Rates: sim.Rates{Fast: ratio, Slow: 1}, TEnd: tEnd, Obs: cfg.Obs})
+	tr, err := sim.Run(ctx, net, sim.Config{Rates: sim.Rates{Fast: ratio, Slow: 1}, TEnd: tEnd, Obs: cfg.observer()})
 	if err != nil {
 		return nil, err
 	}

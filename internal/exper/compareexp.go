@@ -63,9 +63,9 @@ func runE7(ctx context.Context, cfg Config) (*Result, error) {
 	// One job per chain length; each job runs the self-timed chain and the
 	// clocked pipeline back to back and returns both rows, so the table
 	// keeps the historical async/sync interleaving.
-	rowPairs, _, err := batch.Map(ctx, len(lengths), func(ctx context.Context, p batch.Point) ([][]string, error) {
-		n := lengths[p.Index]
-		jobObs := cfg.pointObs(p)
+	rowPairs, err := batch.Map(ctx, len(lengths), func(ctx context.Context, i int) ([][]string, error) {
+		n := lengths[i]
+		jobObs := cfg.observer()
 		// Self-timed chain: one-shot transfer of 1.0.
 		net := crn.NewNetwork()
 		ch, err := async.NewChain(net, "a", n)
@@ -152,8 +152,8 @@ func runE10(ctx context.Context, cfg Config) (*Result, error) {
 	// One job per chain length. The wall-time column measures each job's own
 	// simulation, so under a parallel pool the values shift with machine
 	// load while every other column stays bit-identical.
-	rows, _, err := batch.Map(ctx, len(lengths), func(ctx context.Context, p batch.Point) ([]string, error) {
-		n := lengths[p.Index]
+	rows, err := batch.Map(ctx, len(lengths), func(ctx context.Context, i int) ([]string, error) {
+		n := lengths[i]
 		net := crn.NewNetwork()
 		ch, err := async.NewChain(net, "a", n)
 		if err != nil {
@@ -163,7 +163,7 @@ func runE10(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		start := time.Now()
-		tr, err := sim.Run(ctx, net, sim.Config{Rates: sim.Rates{Fast: ratio, Slow: 1}, TEnd: 60 * float64(n), Obs: cfg.pointObs(p)})
+		tr, err := sim.Run(ctx, net, sim.Config{Rates: sim.Rates{Fast: ratio, Slow: 1}, TEnd: 60 * float64(n), Obs: cfg.observer()})
 		if err != nil {
 			return nil, err
 		}

@@ -48,7 +48,7 @@ func runE9(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ideal.SetInit(ch.Input, 1); err != nil {
 		return nil, err
 	}
-	trIdeal, err := sim.Run(ctx, ideal, sim.Config{Rates: rates, TEnd: tEnd, Obs: cfg.Obs})
+	trIdeal, err := sim.Run(ctx, ideal, sim.Config{Rates: rates, TEnd: tEnd, Obs: cfg.observer()})
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func runE9(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		trImpl, err := sim.Run(ctx, impl, sim.Config{Rates: rates, TEnd: tEnd, Obs: cfg.Obs})
+		trImpl, err := sim.Run(ctx, impl, sim.Config{Rates: rates, TEnd: tEnd, Obs: cfg.observer()})
 		if err != nil {
 			return nil, err
 		}

@@ -36,15 +36,10 @@ type Config struct {
 	// through sim.RunMany; 0 selects the engine default. Tables are
 	// identical for any width — a lane's trace depends on its seed alone.
 	Lanes int
-	// Obs, when non-nil, receives instrumentation events from the
-	// simulations an experiment runs sequentially (references, scalar
-	// experiments, and grid jobs when Workers == 1). It is per-run-stateful,
-	// so parallel grid jobs never share it — they use Metrics instead.
-	Obs obs.Observer
-	// Metrics, when non-nil, receives engine metrics and per-job simulator
-	// instrumentation from parallel grid runs, merged from per-worker
-	// registry shards after each batch drains (cmd/molbench -metrics wires
-	// its registry here and a RegistryObserver into Obs).
+	// Metrics, when non-nil, receives the run-level metric families of
+	// every simulation an experiment runs, sequential or pooled, through one
+	// stateless obs.RegistryObserver, plus the batch pool's own metrics
+	// (cmd/molbench -metrics and the server wire their registry here).
 	Metrics *obs.Registry
 }
 
@@ -58,21 +53,17 @@ func (c Config) workers() int {
 
 // batchOpts is the batch configuration shared by every grid experiment.
 func (c Config) batchOpts() batch.Options {
-	return batch.Options{Workers: c.workers(), Seed: c.Seed, Metrics: c.Metrics}
+	return batch.Options{Workers: c.workers(), Metrics: c.Metrics}
 }
 
-// pointObs picks the observer for one grid job: the engine's shard
-// observer when Metrics is set, else — only when the pool is sequential —
-// the experiment-wide Obs. A per-run-stateful observer must never be shared
-// by concurrent simulations, so parallel pools without Metrics run bare.
-func (c Config) pointObs(p batch.Point) obs.Observer {
-	if p.Obs != nil {
-		return p.Obs
+// observer returns the observer every simulation of an experiment reports
+// through: a RegistryObserver over Metrics, or nil. It keeps no per-run
+// state, so concurrent grid jobs may share it.
+func (c Config) observer() obs.Observer {
+	if c.Metrics == nil {
+		return nil
 	}
-	if c.workers() == 1 {
-		return c.Obs
-	}
-	return nil
+	return obs.NewRegistryObserver(c.Metrics)
 }
 
 // Result is a rendered experiment outcome: a table plus optional text

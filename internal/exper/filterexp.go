@@ -74,7 +74,7 @@ func runFilterExp(ctx context.Context, cfg Config, id string, taps int) (*Result
 	if err != nil {
 		return nil, err
 	}
-	cp.Obs = cfg.Obs
+	cp.Obs = cfg.observer()
 	tr, outs, err := cp.RunContext(ctx, sim.Rates{Fast: ratio, Slow: 1}, tEnd, map[string][]float64{"x": x}, nCycles)
 	if err != nil {
 		return nil, err
@@ -133,8 +133,8 @@ func runE6(ctx context.Context, cfg Config) (*Result, error) {
 	// events, so sharing it across workers is off the table. Jitter keeps
 	// the historical cfg.Seed+ratio seed, so the table matches the
 	// pre-parallel sequential sweep exactly.
-	rows, _, err := batch.Map(ctx, len(points), func(ctx context.Context, bp batch.Point) ([]string, error) {
-		p := points[bp.Index]
+	rows, err := batch.Map(ctx, len(points), func(ctx context.Context, i int) ([]string, error) {
+		p := points[i]
 		// Low rate ratios stretch every phase (indicator thresholds are
 		// relative to kslow/kfast), so give slow configurations more time.
 		pointEnd := tEnd
@@ -146,8 +146,8 @@ func runE6(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		x := filterStream(nCycles)
-		for i := range x {
-			x[i] *= p.amp
+		for k := range x {
+			x[k] *= p.amp
 		}
 		golden, err := g.Run(map[string][]float64{"x": x})
 		if err != nil {
@@ -166,7 +166,7 @@ func runE6(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		tr, err := sim.Run(ctx, net, sim.Config{
-			Rates: sim.Rates{Fast: p.ratio, Slow: 1}, TEnd: pointEnd, Events: events, Obs: cfg.pointObs(bp),
+			Rates: sim.Rates{Fast: p.ratio, Slow: 1}, TEnd: pointEnd, Events: events, Obs: cfg.observer(),
 		})
 		if err != nil {
 			return nil, err

@@ -83,8 +83,8 @@ func runE13(ctx context.Context, cfg Config) (*Result, error) {
 	// One job per probe frequency; each builds its own graph and compiled
 	// circuit, because the golden-model evaluation and synthesis both walk
 	// mutable structures that must stay private to the job.
-	rows, _, err := batch.Map(ctx, len(freqs), func(ctx context.Context, p batch.Point) ([]string, error) {
-		f := freqs[p.Index]
+	rows, err := batch.Map(ctx, len(freqs), func(ctx context.Context, i int) ([]string, error) {
+		f := freqs[i]
 		g, err := sfg.MovingAverage(taps)
 		if err != nil {
 			return nil, err
@@ -101,7 +101,7 @@ func runE13(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp.Obs = cfg.pointObs(p)
+		cp.Obs = cfg.observer()
 		_, outs, err := cp.RunContext(ctx, sim.Rates{Fast: ratio, Slow: 1}, tEnd, map[string][]float64{"x": x}, nCycles)
 		if err != nil {
 			return nil, err

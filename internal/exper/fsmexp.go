@@ -40,7 +40,7 @@ func runE5(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Obs = cfg.Obs
+	m.Obs = cfg.observer()
 	tr, err := m.RunContext(ctx, sim.Rates{Fast: ratio, Slow: 1}, tEnd)
 	if err != nil {
 		return nil, err
@@ -106,16 +106,16 @@ func runE12(ctx context.Context, cfg Config) (*Result, error) {
 	// One SSA job per (unit, seed) grid point; each compiles its own machine
 	// because the decode helpers hang off the Machine and the circuit must
 	// not be shared across concurrent jobs.
-	rows, _, err := batch.Map(ctx, len(units)*len(seeds), func(ctx context.Context, p batch.Point) ([]string, error) {
-		unit := units[p.Index/len(seeds)]
-		seed := seeds[p.Index%len(seeds)]
+	rows, err := batch.Map(ctx, len(units)*len(seeds), func(ctx context.Context, i int) ([]string, error) {
+		unit := units[i/len(seeds)]
+		seed := seeds[i%len(seeds)]
 		m, err := logic.Compile(f, "cnt")
 		if err != nil {
 			return nil, err
 		}
 		tr, err := sim.Run(ctx, m.Circuit.Net, sim.Config{
 			Method: sim.SSA, Rates: sim.Rates{Fast: ratio, Slow: 1}, TEnd: tEnd,
-			Unit: unit, Seed: cfg.Seed + seed, Obs: cfg.pointObs(p),
+			Unit: unit, Seed: cfg.Seed + seed, Obs: cfg.observer(),
 		})
 		if err != nil {
 			return nil, err

@@ -127,14 +127,14 @@ func runE14(ctx context.Context, cfg Config) (*Result, error) {
 		cases = cases[:4]
 	}
 	// One job per module test case; each builds its own network.
-	rows, _, err := batch.Map(ctx, len(cases), func(ctx context.Context, p batch.Point) ([]string, error) {
-		c := cases[p.Index]
+	rows, err := batch.Map(ctx, len(cases), func(ctx context.Context, i int) ([]string, error) {
+		c := cases[i]
 		n := crn.NewNetwork()
 		out, err := c.build(n)
 		if err != nil {
 			return nil, fmt.Errorf("exper: E14 %s: %w", c.name, err)
 		}
-		tr, err := sim.Run(ctx, n, sim.Config{Rates: rates, TEnd: c.tEnd, Obs: cfg.pointObs(p)})
+		tr, err := sim.Run(ctx, n, sim.Config{Rates: rates, TEnd: c.tEnd, Obs: cfg.observer()})
 		if err != nil {
 			return nil, fmt.Errorf("exper: E14 %s: %w", c.name, err)
 		}

@@ -45,7 +45,7 @@ func runE8(ctx context.Context, cfg Config) (*Result, error) {
 	if err := refNet.SetInit(refCh.Input, 1); err != nil {
 		return nil, err
 	}
-	refTr, err := sim.Run(ctx, refNet, sim.Config{Rates: sim.Rates{Fast: ratio, Slow: 1}, TEnd: tEnd, Obs: cfg.Obs})
+	refTr, err := sim.Run(ctx, refNet, sim.Config{Rates: sim.Rates{Fast: ratio, Slow: 1}, TEnd: tEnd, Obs: cfg.observer()})
 	if err != nil {
 		return nil, err
 	}

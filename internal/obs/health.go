@@ -7,7 +7,7 @@ import (
 )
 
 // ClockHealth is a Watcher that layers semantic *health analysis* on top of
-// the raw edge/phase/duty machinery: instead of merely reporting what the
+// the raw edge/phase machinery: instead of merely reporting what the
 // tri-phase clockwork does, it judges whether the paper's dynamic invariants
 // hold and raises structured Alerts (through Observer.OnAlert) when they do
 // not. Four rules are checked:
@@ -195,7 +195,8 @@ func (w *ClockHealth) Observe(t float64, y []float64, sink Observer) {
 		}
 	}
 
-	// Duty accumulation (left rectangle rule, like DutyWatcher).
+	// Duty accumulation (left rectangle rule: each sample's state holds
+	// until the next sample).
 	if !w.init {
 		w.t0, w.lastT = t, t
 		for i, j := range w.indIdx {

@@ -178,6 +178,33 @@ func TestClockHealthDutyDrift(t *testing.T) {
 	if duty[0].Subject != "iR" || duty[0].Value <= 0.99 {
 		t.Errorf("duty = %+v", duty[0])
 	}
+	// The duty is a left-rectangle integral: each sample's level holds until
+	// the next sample. iR high on [0,2) and [8,10) reads exactly 4/10.
+	wl := newHealth(t)
+	wl.MaxDuty = 0.3
+	if err := wl.Bind(healthSpecies); err != nil {
+		t.Fatal(err)
+	}
+	recl := &recorder{}
+	wl.Observe(0, y(0, 0, 0, 1, 0, 0), recl)
+	wl.Observe(2, y(0, 0, 0, 0, 0, 0), recl)
+	wl.Observe(8, y(0, 0, 0, 1, 0, 0), recl)
+	wl.Finish(10, recl)
+	if len(recl.alerts) != 1 || recl.alerts[0].Rule != "duty_drift" || recl.alerts[0].Value != 0.4 {
+		t.Fatalf("left-rectangle duty alerts = %+v, want one duty_drift at 0.4", recl.alerts)
+	}
+	// A run with no simulated time has no duty to judge.
+	wz := newHealth(t)
+	wz.MaxDuty = 1e-9
+	if err := wz.Bind(healthSpecies); err != nil {
+		t.Fatal(err)
+	}
+	recz := &recorder{}
+	wz.Observe(3, y(0, 0, 0, 1, 0, 0), recz)
+	wz.Finish(3, recz)
+	if len(recz.alerts) != 0 {
+		t.Fatalf("zero-span run alerted: %+v", recz.alerts)
+	}
 	// Disabling the rule must silence it.
 	w2 := newHealth(t)
 	w2.MaxDuty = -1

@@ -18,19 +18,12 @@ func NewLogger(w io.Writer, level slog.Leveler) *slog.Logger {
 	if level == nil {
 		level = slog.LevelInfo
 	}
-	return slog.New(WithSpanContext(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})))
+	return slog.New(spanHandler{slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})})
 }
 
-// WithSpanContext decorates a slog.Handler so every record handled with a
+// spanHandler decorates a slog.Handler so every record handled with a
 // span-carrying context is stamped with that span's trace_id and span_id.
 // Records without a span pass through untouched.
-func WithSpanContext(h slog.Handler) slog.Handler {
-	if _, ok := h.(spanHandler); ok {
-		return h
-	}
-	return spanHandler{h}
-}
-
 type spanHandler struct {
 	slog.Handler
 }

@@ -18,8 +18,8 @@
 //   - Registry (registry.go) aggregates counters, gauges and histograms and
 //     renders them as Prometheus text exposition or a human summary.
 //   - JSONL (jsonl.go) streams events as JSON lines for offline analysis.
-//   - Watchers (watch.go) derive semantic events — clock edges, phase
-//     changes, absence-indicator duty cycles — from raw state samples.
+//   - Watchers (watch.go, health.go) derive semantic events — clock edges,
+//     phase changes, clock-health alerts — from raw state samples.
 package obs
 
 import (

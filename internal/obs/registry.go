@@ -444,86 +444,6 @@ func (r *Registry) Summary() string {
 	return sb.String()
 }
 
-// Merge folds every metric of src into r: counters add their value, gauges
-// adopt src's value (last merge wins), and histograms with identical bucket
-// bounds add bucket-wise — mismatched bounds fold src's observations into
-// r's overflow bucket, keeping _count and _sum exact while degrading the
-// distribution. Metrics absent from r are created in src's registration
-// order, so merging per-worker shard registries into one target after a
-// parallel run produces stable output. Merge is safe for concurrent use, but
-// src should be quiescent for the merge to be a consistent snapshot.
-func (r *Registry) Merge(src *Registry) {
-	if src == nil || src == r {
-		return
-	}
-	src.mu.Lock()
-	keys := append([]metricKey(nil), src.order...)
-	counters := make(map[string]float64, len(src.counters))
-	for k, v := range src.counters {
-		counters[k] = v.Value()
-	}
-	gauges := make(map[string]float64, len(src.gauges))
-	for k, v := range src.gauges {
-		gauges[k] = v.Value()
-	}
-	hists := make(map[string]*Histogram, len(src.hists))
-	for k, v := range src.hists {
-		hists[k] = v
-	}
-	src.mu.Unlock()
-
-	for _, k := range keys {
-		switch k.kind {
-		case 'c':
-			r.Counter(k.name).Add(counters[k.name])
-		case 'g':
-			r.Gauge(k.name).Set(gauges[k.name])
-		case 'h':
-			bounds, raw, sum, n := hists[k.name].raw()
-			r.Histogram(k.name, bounds).absorb(bounds, raw, sum, n)
-		}
-	}
-}
-
-// raw returns copies of the histogram's bounds and per-bucket
-// (non-cumulative) counts together with the running sum and count.
-func (h *Histogram) raw() (bounds []float64, counts []uint64, sum float64, n uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...), h.sum, h.n
-}
-
-// absorb adds raw (non-cumulative) buckets from another histogram into h.
-func (h *Histogram) absorb(bounds []float64, counts []uint64, sum float64, n uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if equalBounds(h.bounds, bounds) && len(h.counts) == len(counts) {
-		for i, c := range counts {
-			h.counts[i] += c
-		}
-	} else {
-		var total uint64
-		for _, c := range counts {
-			total += c
-		}
-		h.counts[len(h.counts)-1] += total
-	}
-	h.sum += sum
-	h.n += n
-}
-
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // RegistryObserver adapts a Registry into an Observer: it translates the
 // simulators' run-level and semantic events into the standard metric
 // families

@@ -270,69 +270,6 @@ func TestRegistryObserver(t *testing.T) {
 	}
 }
 
-// TestRegistryMerge covers the shard-merge path used by the batch engine:
-// counters add, gauges adopt, matching histograms add bucket-wise.
-func TestRegistryMerge(t *testing.T) {
-	dst := NewRegistry()
-	dst.Counter("jobs_total").Add(2)
-	dst.Gauge("workers").Set(1)
-	dst.Histogram("lat", []float64{1, 10}).Observe(0.5)
-
-	src := NewRegistry()
-	src.Counter("jobs_total").Add(3)
-	src.Counter("fresh_total").Add(1)
-	src.Gauge("workers").Set(4)
-	src.Histogram("lat", []float64{1, 10}).Observe(5)
-	src.Histogram("lat", nil).Observe(100)
-
-	dst.Merge(src)
-	snap := dst.Snapshot()
-	checks := map[string]float64{
-		"jobs_total":  5,
-		"fresh_total": 1,
-		"workers":     4,
-		"lat_count":   3,
-		"lat_sum":     105.5,
-	}
-	for k, v := range checks {
-		if snap[k] != v {
-			t.Errorf("after Merge, Snapshot[%q] = %g, want %g", k, snap[k], v)
-		}
-	}
-	_, cum, _, _ := dst.hists["lat"].snapshot()
-	if cum[0] != 1 || cum[1] != 2 || cum[2] != 3 {
-		t.Errorf("merged lat cum buckets = %v, want [1 2 3]", cum)
-	}
-
-	// Self-merge and nil-merge are no-ops.
-	dst.Merge(dst)
-	dst.Merge(nil)
-	if got := dst.Counter("jobs_total").Value(); got != 5 {
-		t.Errorf("self/nil merge changed jobs_total to %g", got)
-	}
-}
-
-// TestRegistryMergeMismatchedBuckets checks observations survive a bounds
-// mismatch by landing in the overflow bucket.
-func TestRegistryMergeMismatchedBuckets(t *testing.T) {
-	dst := NewRegistry()
-	dst.Histogram("lat", []float64{1, 10}).Observe(0.5)
-	src := NewRegistry()
-	src.Histogram("lat", []float64{2, 20}).Observe(0.5)
-	src.Histogram("lat", nil).Observe(3)
-
-	dst.Merge(src)
-	h := dst.hists["lat"]
-	if h.Count() != 3 || h.Sum() != 4 {
-		t.Fatalf("count=%d sum=%g, want 3 and 4", h.Count(), h.Sum())
-	}
-	_, cum, _, _ := h.snapshot()
-	// dst's own 0.5 stays in bucket <=1; both src samples fold into +Inf.
-	if cum[0] != 1 || cum[1] != 1 || cum[2] != 3 {
-		t.Fatalf("cum = %v, want [1 1 3]", cum)
-	}
-}
-
 // TestExpositionEscaping drives hostile label values and raw metric names
 // through the full WriteTo path and checks the output stays one sample per
 // line with exposition-format escapes, for every metric kind.

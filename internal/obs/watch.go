@@ -2,8 +2,8 @@ package obs
 
 import "fmt"
 
-// Watcher derives semantic events (clock edges, phase changes, duty cycles)
-// from raw state samples. The simulators drive watchers at every accepted
+// Watcher derives semantic events (clock edges, phase changes, health
+// alerts) from raw state samples. The simulators drive watchers at every accepted
 // step (ODE) or recording sample (SSA):
 //
 //	Bind(species)          once, to resolve names to state indices
@@ -158,89 +158,6 @@ func (w *PhaseWatcher) Observe(t float64, y []float64, sink Observer) {
 
 // Finish is a no-op for phase watching.
 func (w *PhaseWatcher) Finish(t float64, sink Observer) {}
-
-// DutyWatcher measures the duty cycle of watched species — the fraction of
-// simulated time each spends at or above Threshold — and records it into
-// Registry gauges `duty_cycle{species=...}` at Finish. Used on the tri-phase
-// absence indicators: the paper's discipline requires an indicator to be
-// high only during the short window when its colour class is empty, so a
-// large duty cycle flags a stalled or mis-gated design.
-type DutyWatcher struct {
-	Species   []string
-	Threshold float64
-	Registry  *Registry
-
-	idx    []int
-	above  []bool
-	tAbove []float64
-	lastT  float64
-	t0     float64
-	init   bool
-}
-
-// Bind resolves the watched species against the simulation's species table.
-func (w *DutyWatcher) Bind(species []string) error {
-	if w.Registry == nil {
-		return fmt.Errorf("obs: duty watcher needs a Registry")
-	}
-	idx, err := resolve(species, w.Species)
-	if err != nil {
-		return err
-	}
-	w.idx = idx
-	w.above = make([]bool, len(idx))
-	w.tAbove = make([]float64, len(idx))
-	w.init = false
-	return nil
-}
-
-// Observe accumulates time-above-threshold using the previous sample's state
-// over the elapsed interval (left rectangle rule).
-func (w *DutyWatcher) Observe(t float64, y []float64, sink Observer) {
-	if !w.init {
-		w.t0, w.lastT = t, t
-		for i, j := range w.idx {
-			w.above[i] = y[j] >= w.Threshold
-		}
-		w.init = true
-		return
-	}
-	dt := t - w.lastT
-	if dt > 0 {
-		for i := range w.idx {
-			if w.above[i] {
-				w.tAbove[i] += dt
-			}
-		}
-		w.lastT = t
-	}
-	for i, j := range w.idx {
-		w.above[i] = y[j] >= w.Threshold
-	}
-}
-
-// Finish closes the last interval and writes the duty-cycle gauges.
-func (w *DutyWatcher) Finish(t float64, sink Observer) {
-	if !w.init {
-		return
-	}
-	if dt := t - w.lastT; dt > 0 {
-		for i := range w.idx {
-			if w.above[i] {
-				w.tAbove[i] += dt
-			}
-		}
-		w.lastT = t
-	}
-	span := w.lastT - w.t0
-	for i, name := range w.Species {
-		duty := 0.0
-		if span > 0 {
-			duty = w.tAbove[i] / span
-		}
-		w.Registry.Gauge(Label("duty_cycle", "species", name)).Set(duty)
-	}
-}
 
 // BindAll binds every watcher against the species table, failing fast.
 func BindAll(watchers []Watcher, species []string) error {

@@ -101,23 +101,6 @@ func TestPhaseWatcherErrors(t *testing.T) {
 	}
 }
 
-func TestDutyWatcher(t *testing.T) {
-	reg := NewRegistry()
-	w := &DutyWatcher{Species: []string{"I"}, Threshold: 0.5, Registry: reg}
-	if err := w.Bind([]string{"I"}); err != nil {
-		t.Fatal(err)
-	}
-	// Above threshold on [0,2) and [8,10): duty 4/10.
-	w.Observe(0, []float64{1}, Nop)
-	w.Observe(2, []float64{0}, Nop)
-	w.Observe(8, []float64{1}, Nop)
-	w.Finish(10, Nop)
-	got := reg.Gauge(Label("duty_cycle", "species", "I")).Value()
-	if got != 0.4 {
-		t.Fatalf("duty cycle = %g, want 0.4", got)
-	}
-}
-
 // TestEdgeWatcherExactThresholds pins the comparison directions at the
 // boundaries: v == High fires rising (>=), v == Low does NOT fire falling
 // (falling needs strict <), and a first sample landing exactly on High arms
@@ -152,62 +135,26 @@ func TestEdgeWatcherExactThresholds(t *testing.T) {
 	}
 }
 
-// TestDutyWatcherNeverCompletes covers trajectories with no complete duty
-// period: a species pinned above threshold for the whole run reads duty 1.0,
-// and a run whose samples all share one timestamp (zero span) reads 0 rather
-// than NaN.
-func TestDutyWatcherNeverCompletes(t *testing.T) {
-	reg := NewRegistry()
-	w := &DutyWatcher{Species: []string{"I"}, Threshold: 0.5, Registry: reg}
-	if err := w.Bind([]string{"I"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i <= 5; i++ {
-		w.Observe(float64(i), []float64{1}, Nop) // never dips below threshold
-	}
-	w.Finish(5, Nop)
-	if got := reg.Gauge(Label("duty_cycle", "species", "I")).Value(); got != 1 {
-		t.Fatalf("always-high duty = %g, want 1", got)
-	}
-
-	reg2 := NewRegistry()
-	w2 := &DutyWatcher{Species: []string{"I"}, Threshold: 0.5, Registry: reg2}
-	if err := w2.Bind([]string{"I"}); err != nil {
-		t.Fatal(err)
-	}
-	w2.Observe(3, []float64{1}, Nop) // single instant: span is zero
-	w2.Finish(3, Nop)
-	got := reg2.Gauge(Label("duty_cycle", "species", "I")).Value()
-	if got != 0 {
-		t.Fatalf("zero-span duty = %g, want 0", got)
-	}
-}
-
-func TestDutyWatcherNeedsRegistry(t *testing.T) {
-	w := &DutyWatcher{Species: []string{"I"}, Threshold: 0.5}
-	if err := w.Bind([]string{"I"}); err == nil {
-		t.Fatal("nil Registry accepted")
-	}
-}
-
 func TestWatcherHelpers(t *testing.T) {
-	reg := NewRegistry()
 	watchers := []Watcher{
 		&EdgeWatcher{High: 0.5, Low: 0.25},
-		&DutyWatcher{Species: []string{"A"}, Threshold: 0.5, Registry: reg},
+		&PhaseWatcher{Groups: []PhaseGroup{
+			{Name: "a", Species: []string{"A"}},
+			{Name: "b", Species: []string{"B"}},
+		}},
 	}
-	if err := BindAll(watchers, []string{"A"}); err != nil {
+	if err := BindAll(watchers, []string{"A", "B"}); err != nil {
 		t.Fatal(err)
 	}
 	rec := &recorder{}
-	ObserveAll(watchers, 0, []float64{0}, rec)
-	ObserveAll(watchers, 1, []float64{1}, rec)
+	ObserveAll(watchers, 0, []float64{0, 0.1}, rec)
+	ObserveAll(watchers, 1, []float64{1, 0.1}, rec)
 	FinishAll(watchers, 2, rec)
 	if len(rec.edges) != 1 {
 		t.Fatalf("edges = %v", rec.edges)
 	}
-	if got := reg.Gauge(Label("duty_cycle", "species", "A")).Value(); got != 0.5 {
-		t.Fatalf("duty = %g, want 0.5", got)
+	if len(rec.phases) != 2 || rec.phases[0].To != "b" || rec.phases[1].To != "a" {
+		t.Fatalf("phases = %v", rec.phases)
 	}
 	// BindAll fails fast on the first bad watcher.
 	bad := []Watcher{&EdgeWatcher{Species: []string{"ghost"}, High: 1, Low: 0}}

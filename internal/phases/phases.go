@@ -306,17 +306,3 @@ func (s *Scheme) PhaseWatcher(eps float64) *obs.PhaseWatcher {
 	}
 	return &obs.PhaseWatcher{Groups: groups, Eps: eps}
 }
-
-// IndicatorDutyWatcher returns a watcher recording the duty cycle of each
-// absence indicator — the fraction of simulated time it spends at or above
-// threshold — into reg as gauges duty_cycle{species=...}. The paper's
-// discipline requires indicators to be high only in the short window while
-// their colour class is empty, so a large duty cycle flags a stalled phase
-// or a mis-gated transfer.
-func (s *Scheme) IndicatorDutyWatcher(threshold float64, reg *obs.Registry) *obs.DutyWatcher {
-	return &obs.DutyWatcher{
-		Species:   []string{s.Indicator(Red), s.Indicator(Green), s.Indicator(Blue)},
-		Threshold: threshold,
-		Registry:  reg,
-	}
-}

@@ -318,11 +318,12 @@ func TestDisableFeedbackOmitsDimers(t *testing.T) {
 	}
 }
 
-// TestSchemeWatchers runs the three-member loop with the scheme's phase and
-// indicator-duty watchers attached: the dominant colour class must hand off
-// repeatedly, and each absence indicator must spend only a minority of the
-// run above threshold (the discipline allows it high only while its colour
-// class is empty).
+// TestSchemeWatchers runs the three-member loop with the scheme's phase
+// watcher and a clock-health analyzer over its colour classes attached: the
+// dominant colour class must hand off repeatedly, and each absence indicator
+// must spend only a minority of the run at or above 0.1 (the discipline
+// allows it high only while its colour class is empty). A duty bound of
+// 1e-9 makes the duty_drift rule report every indicator's duty cycle.
 func TestSchemeWatchers(t *testing.T) {
 	n := crn.NewNetwork()
 	s := NewScheme(n, "ph")
@@ -336,44 +337,54 @@ func TestSchemeWatchers(t *testing.T) {
 	if err := n.SetInit("R1", 1); err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	to := map[string]int{}
+	health := &obs.ClockHealth{
+		Threshold: 0.5, LeakEps: 0.1, MaxDuty: 1e-9, MaxJitter: -1,
+	}
+	for c := Red; c <= Blue; c++ {
+		health.Phases = append(health.Phases, obs.PhaseGroup{Name: c.String(), Species: s.Members(c)})
+		health.Indicators = append(health.Indicators, s.Indicator(c))
+	}
+	pc := phaseCounter{to: map[string]int{}, duty: map[string]float64{}}
 	_, err := sim.Run(context.Background(), n, sim.Config{
-		Rates: sim.Rates{Fast: 500, Slow: 1},
-		TEnd:  150,
-		Obs:   phaseCounter{to: to},
-		Watchers: []obs.Watcher{
-			s.PhaseWatcher(0.25),
-			s.IndicatorDutyWatcher(0.1, reg),
-		},
+		Rates:    sim.Rates{Fast: 500, Slow: 1},
+		TEnd:     150,
+		Obs:      pc,
+		Watchers: []obs.Watcher{s.PhaseWatcher(0.25), health},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
 	for _, col := range []string{"red", "green", "blue"} {
-		total += to[col]
+		total += pc.to[col]
 	}
 	if total < 6 {
-		t.Fatalf("only %d phase changes recorded: %v", total, to)
+		t.Fatalf("only %d phase changes recorded: %v", total, pc.to)
 	}
-	snap := reg.Snapshot()
 	for c := Red; c <= Blue; c++ {
-		key := obs.Label("duty_cycle", "species", s.Indicator(c))
-		duty, ok := snap[key]
+		ind := s.Indicator(c)
+		duty, ok := pc.duty[ind]
 		if !ok {
-			t.Fatalf("missing %s", key)
+			t.Fatalf("no duty_drift alert for %s", ind)
 		}
 		if duty <= 0 || duty > 0.6 {
-			t.Errorf("%s = %g, want in (0, 0.6]", key, duty)
+			t.Errorf("duty of %s = %g, want in (0, 0.6]", ind, duty)
 		}
 	}
 }
 
-// phaseCounter counts phase changes by the phase entered.
+// phaseCounter counts phase changes by the phase entered and records the
+// duty cycle each duty_drift alert reports, by indicator.
 type phaseCounter struct {
 	obs.Base
-	to map[string]int
+	to   map[string]int
+	duty map[string]float64
 }
 
 func (c phaseCounter) OnPhaseChange(e obs.PhaseChange) { c.to[e.To]++ }
+
+func (c phaseCounter) OnAlert(e obs.Alert) {
+	if e.Rule == "duty_drift" {
+		c.duty[e.Subject] = e.Value
+	}
+}

@@ -288,8 +288,9 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	j.pending.Store(int64(points))
 
 	// Reserve an admission slot and an id; the job is published to the store
-	// only after its engine is launched, so status polls never see a
-	// half-built job.
+	// once it is fully built and before its engine starts, so status polls
+	// never see a half-built job and a job that finishes at once is already
+	// in the store when it retires.
 	st.mu.Lock()
 	if st.active >= s.cfg.Limits.MaxActiveJobs {
 		st.mu.Unlock()
@@ -325,7 +326,7 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	bc := sim.BatchConfig{
 		Base:       baseCfg,
 		Runs:       points,
-		Workers:    s.cfg.Workers,
+		Workers:    s.cfg.MaxConcurrentSims,
 		FinalsOnly: true,
 		Metrics:    s.reg,
 		JobTimeout: s.deadline(req.TimeoutSeconds),
@@ -393,6 +394,11 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 		}})
 	}
 
+	st.mu.Lock()
+	st.jobs[j.id] = j
+	st.order = append(st.order, j.id)
+	st.mu.Unlock()
+
 	go func() {
 		defer close(j.done)
 		ens, runErr := sim.RunMany(runCtx, net, bc)
@@ -451,11 +457,6 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 		}})
 		st.retire()
 	}()
-
-	st.mu.Lock()
-	st.jobs[j.id] = j
-	st.order = append(st.order, j.id)
-	st.mu.Unlock()
 	return j, nil
 }
 

@@ -121,7 +121,7 @@ func TestJobRatioSweep(t *testing.T) {
 // points keep their explanatory skipped marker, and cancellation is
 // idempotent.
 func TestJobCancel(t *testing.T) {
-	s := New(Config{MaxConcurrentSims: 2, Workers: 2})
+	s := New(Config{MaxConcurrentSims: 2})
 	rec := do(t, s.Handler(), "POST", "/v1/jobs", longJob(t))
 	if rec.Code != 202 {
 		t.Fatalf("submit status %d: %s", rec.Code, rec.Body.String())
@@ -190,7 +190,7 @@ func TestJobValidation(t *testing.T) {
 // TestJobActiveLimit: admission control rejects with 429 once the active-job
 // cap is reached, and frees the slot when the job ends.
 func TestJobActiveLimit(t *testing.T) {
-	s := New(Config{Limits: Limits{MaxActiveJobs: 1}, MaxConcurrentSims: 1, Workers: 1})
+	s := New(Config{Limits: Limits{MaxActiveJobs: 1}, MaxConcurrentSims: 1})
 	rec := do(t, s.Handler(), "POST", "/v1/jobs", longJob(t))
 	if rec.Code != 202 {
 		t.Fatalf("first submit status %d", rec.Code)
@@ -297,7 +297,7 @@ func TestJobsConcurrent(t *testing.T) {
 // TestDrain: graceful shutdown rejects new work, lets quick jobs finish, and
 // force-cancels jobs that exceed the drain budget.
 func TestDrain(t *testing.T) {
-	s := New(Config{MaxConcurrentSims: 2, Workers: 2})
+	s := New(Config{MaxConcurrentSims: 2})
 	rec := do(t, s.Handler(), "POST", "/v1/jobs", longJob(t))
 	if rec.Code != 202 {
 		t.Fatalf("submit status %d", rec.Code)
@@ -349,7 +349,7 @@ func TestSweepGoldenBitIdentical(t *testing.T) {
 	} // 12 points with a live ratio axis: the fast rate genuinely differs per ratio
 	results := func(t *testing.T, workers int) []byte {
 		t.Helper()
-		st := submitAndWait(t, New(Config{Workers: workers, MaxConcurrentSims: workers}), req)
+		st := submitAndWait(t, New(Config{MaxConcurrentSims: workers}), req)
 		if st.State != "done" || st.Completed != 12 || st.Failed != 0 {
 			t.Fatalf("workers=%d: state=%q completed=%d failed=%d: %s",
 				workers, st.State, st.Completed, st.Failed, st.Error)
@@ -376,7 +376,7 @@ func TestSweepGoldenBitIdentical(t *testing.T) {
 // reach a terminal state, keep its skip markers (not failures), release the
 // jobs_queued gauge, and be retention-evicted like any finished job.
 func TestJobCanceledWhileQueued(t *testing.T) {
-	s := New(Config{MaxConcurrentSims: 1, Workers: 1, RetainJobs: 1})
+	s := New(Config{MaxConcurrentSims: 1, RetainJobs: 1})
 
 	// Occupy the only simulation slot so the next job stays queued.
 	rec := do(t, s.Handler(), "POST", "/v1/jobs", longJob(t))
@@ -429,6 +429,29 @@ func TestJobCanceledWhileQueued(t *testing.T) {
 			t.Fatalf("canceled-while-queued job %s never retention-evicted", queued.ID)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestJobRetainedCountExact: a job enters the store before its engine
+// starts, so even a job that finishes at once is counted when it retires.
+// With RetainJobs 1, each of twenty one-point jobs run back to back leaves
+// exactly itself listed once it is done, having evicted every job before it.
+func TestJobRetainedCountExact(t *testing.T) {
+	s := New(Config{RetainJobs: 1})
+	req := JobRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 0.5, Method: "ssa", Unit: 10, Seed: 3}
+	for k := 0; k < 20; k++ {
+		if st := submitAndWait(t, s, req); st.State != "done" {
+			t.Fatalf("job %d ended %q: %s", k, st.State, st.Error)
+		}
+		list := decode[struct {
+			Jobs []JobStatus `json:"jobs"`
+		}](t, do(t, s.Handler(), "GET", "/v1/jobs", nil))
+		if len(list.Jobs) > 1 {
+			t.Fatalf("after job %d: %d jobs listed with RetainJobs 1", k, len(list.Jobs))
+		}
+		if got := s.Registry().Snapshot()["jobs_evicted_total"]; got != float64(k) {
+			t.Fatalf("after job %d: jobs_evicted_total = %g, want %d", k, got, k)
+		}
 	}
 }
 

@@ -100,31 +100,21 @@ type Config struct {
 	// MaxConcurrentSims bounds simultaneously executing simulation work —
 	// synchronous requests and sweep points together — independent of how
 	// many connections the HTTP listener accepts; 0 -> runtime.NumCPU().
+	// It also sizes the batch pool of each sweep job and served grid
+	// experiment, since every unit of their work waits on the same bound.
 	MaxConcurrentSims int
 	// SimTimeout is the server-side ceiling on one simulation (the
 	// per-request deadline); a request's timeout_seconds may shorten but
 	// never extend it. 0 -> 60s.
 	SimTimeout time.Duration
-	// Workers bounds the batch pool each sweep job fans across; 0 -> NumCPU.
-	Workers int
 	// RetainJobs caps how many finished jobs stay queryable; 0 -> 256.
 	RetainJobs int
-	// Registry receives every server metric; one is created when nil.
-	// Expose it through GET /metrics by serving Handler.
-	Registry *obs.Registry
 	// AccessLog, when non-nil, receives one structured JSON line per served
-	// request (and per server lifecycle event) through a span-correlating
-	// slog logger built with obs.NewLogger. Ignored when Logger is set.
+	// request through a span-correlating slog logger built with
+	// obs.NewLogger.
 	AccessLog io.Writer
-	// Logger, when non-nil, receives the server's structured access and
-	// lifecycle records directly, overriding AccessLog. Wrap custom
-	// handlers with obs.WithSpanContext to keep trace/span correlation.
-	Logger *slog.Logger
-	// Tracer records request/job/sim spans (served at /debug/tracez); one
-	// with TraceCapacity retained spans is created when nil.
-	Tracer *span.Tracer
-	// TraceCapacity bounds the created tracer's in-memory span ring;
-	// 0 -> 2048. Ignored when Tracer is set.
+	// TraceCapacity bounds the tracer's in-memory span ring (request, job
+	// and sim spans, served at /debug/tracez); 0 -> 2048.
 	TraceCapacity int
 	// EventBuffer is the per-SSE-subscriber event buffer; a subscriber whose
 	// buffer is full loses events (counted, never blocking the publisher).
@@ -155,7 +145,7 @@ type Server struct {
 	jobsEvicted *obs.Counter
 
 	// Per-request resource attribution counters (kind="simulate"); the
-	// batch engine merges the matching kind="batch" series per sweep.
+	// batch engine writes the matching kind="batch" series per sweep job.
 	attrCPU        *obs.Counter
 	attrAllocs     *obs.Counter
 	attrAllocBytes *obs.Counter
@@ -173,9 +163,6 @@ func New(cfg Config) *Server {
 	if cfg.SimTimeout <= 0 {
 		cfg.SimTimeout = 60 * time.Second
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
-	}
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 256
 	}
@@ -185,21 +172,14 @@ func New(cfg Config) *Server {
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = 256
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = span.NewTracer(cfg.TraceCapacity)
-	}
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
 		netCache: newLRU(cfg.CacheSize, "network", reg),
 		resCache: newLRU(cfg.CacheSize, "response", reg),
 		sem:      make(chan struct{}, cfg.MaxConcurrentSims),
-		tracer:   tracer,
+		tracer:   span.NewTracer(cfg.TraceCapacity),
 		broker:   obs.NewBroker(),
 		drainCh:  make(chan struct{}),
 
@@ -213,10 +193,7 @@ func New(cfg Config) *Server {
 		attrAllocBytes: reg.Counter(obs.Label("job_alloc_bytes_total", "kind", "simulate")),
 	}
 	s.broker.Metrics(reg)
-	switch {
-	case cfg.Logger != nil:
-		s.log = cfg.Logger
-	case cfg.AccessLog != nil:
+	if cfg.AccessLog != nil {
 		s.log = obs.NewLogger(cfg.AccessLog, nil)
 	}
 	s.jobs = newJobStore(s)

@@ -329,6 +329,20 @@ func TestSimulateExperiment(t *testing.T) {
 	}
 }
 
+// TestSimulateExperimentMetrics: a served scalar experiment reports its
+// simulations into the server registry. E9 quick runs one ideal and one
+// DNA-compiled ODE simulation.
+func TestSimulateExperimentMetrics(t *testing.T) {
+	s := New(Config{})
+	rec := do(t, s.Handler(), "POST", "/v1/simulate", `{"experiment":"E9","quick":true}`)
+	if rec.Code != 200 {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if m := metricsText(t, s); !strings.Contains(m, "\nsim_runs_total{sim=\"ode\"} 2\n") {
+		t.Fatalf("/metrics lacks sim_runs_total{sim=\"ode\"} 2:\n%s", m)
+	}
+}
+
 // TestExperimentsList: the registry is browsable.
 func TestExperimentsList(t *testing.T) {
 	s := New(Config{})
@@ -447,7 +461,7 @@ func seriesCount(t *testing.T, s *Server) int {
 // after 20 rounds as after 5. Per-species detail lives on spans, the event
 // stream and the JSONL log, not in metric labels.
 func TestMetricsSeriesBounded(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{MaxConcurrentSims: 1})
 	metricsText(t, s) // a scrape counts itself from the second one on
 	var after5 int
 	for i := 1; i <= 20; i++ {

@@ -586,14 +586,15 @@ func shapeTrajectory(tr *trace.Trace, method sim.Method, names []string, cols []
 }
 
 // runExperiment executes a registered reproduction experiment and shapes its
-// table response. Grid experiments fan across the server's batch pool; their
-// simulator metrics merge into the server registry.
+// table response. Grid experiments fan across a batch pool of
+// MaxConcurrentSims workers; every simulation the experiment runs, grid or
+// scalar, reports into the server registry as it ends.
 func (s *Server) runExperiment(ctx context.Context, req *SimulateRequest) (*SimulateResponse, error) {
 	e, _ := exper.ByID(req.Experiment) // existence checked by the handler
 	res, err := e.Run(ctx, exper.Config{
 		Quick:   req.Quick,
 		Seed:    req.Seed,
-		Workers: s.cfg.Workers,
+		Workers: s.cfg.MaxConcurrentSims,
 		Metrics: s.reg,
 	})
 	if err != nil {

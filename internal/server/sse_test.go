@@ -81,7 +81,7 @@ func slowSweep(t testing.TB) JobRequest {
 // one batch.job span per point carrying queue-wait and duration attributes,
 // each parenting a sim span.
 func TestJobEventsSSE(t *testing.T) {
-	s := New(Config{Workers: 1, MaxConcurrentSims: 1})
+	s := New(Config{MaxConcurrentSims: 1})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -404,7 +404,7 @@ func clockHealthJob(t testing.TB) JobRequest {
 // push alert events over SSE, count them in /metrics, and leave each run's
 // verdict in its trace as alert events on the run's sim span.
 func TestClockHealthJobAlertStream(t *testing.T) {
-	s := New(Config{Workers: 1, MaxConcurrentSims: 1})
+	s := New(Config{MaxConcurrentSims: 1})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -74,10 +74,11 @@ type BatchConfig struct {
 	// finishes; a Gate error fails the unit's runs.
 	Gate func(ctx context.Context) (release func(), err error)
 
-	// Metrics, when non-nil, receives batch execution metrics (queue wait,
-	// job durations, worker shards) and the RegistryObserver families of
-	// every run. Laned and single runs of the same seeds report the same
-	// run, step and selection counts.
+	// Metrics, when non-nil, receives the RegistryObserver families of
+	// every run as it ends and, when Workers fans runs out, the batch
+	// pool's execution metrics (queue wait, job durations, per-worker job
+	// counts). Laned and single runs of the same seeds report the same run,
+	// step and selection counts.
 	Metrics *obs.Registry
 
 	// JobTimeout bounds each unit of work when Workers > 0 (batch
@@ -204,7 +205,13 @@ func RunMany(ctx context.Context, n *crn.Network, bc BatchConfig) (*trace.Ensemb
 		}
 	}
 
-	exec := func(ctx context.Context, it *runItem, pointObs obs.Observer) error {
+	// One stateless observer records every run, inline or pooled, straight
+	// into Metrics.
+	var pointObs obs.Observer
+	if bc.Metrics != nil {
+		pointObs = obs.NewRegistryObserver(bc.Metrics)
+	}
+	exec := func(ctx context.Context, it *runItem) error {
 		if bc.Gate != nil {
 			release, err := bc.Gate(ctx)
 			if err != nil {
@@ -242,10 +249,6 @@ func RunMany(ctx context.Context, n *crn.Network, bc BatchConfig) (*trace.Ensemb
 
 	var runErr error
 	if bc.Workers <= 0 {
-		var seqObs obs.Observer
-		if bc.Metrics != nil {
-			seqObs = obs.NewRegistryObserver(bc.Metrics)
-		}
 		for idx := range items {
 			if err := ctx.Err(); err != nil {
 				for _, i := range items[idx].runs {
@@ -254,16 +257,15 @@ func RunMany(ctx context.Context, n *crn.Network, bc BatchConfig) (*trace.Ensemb
 				runErr = err
 				continue
 			}
-			exec(ctx, &items[idx], seqObs)
+			exec(ctx, &items[idx])
 		}
 	} else {
 		// Per-run failures are recorded in the ensemble, not escalated;
 		// only cancellation fails the batch as a whole.
-		batch.Run(ctx, len(items), func(ctx context.Context, p batch.Point) error {
-			return exec(ctx, &items[p.Index], p.Obs)
+		batch.Run(ctx, len(items), func(ctx context.Context, i int) error {
+			return exec(ctx, &items[i])
 		}, batch.Options{
 			Workers:    bc.Workers,
-			Seed:       bc.Base.Seed,
 			Policy:     batch.CollectAll,
 			Metrics:    bc.Metrics,
 			JobTimeout: bc.JobTimeout,

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/batch"
@@ -321,5 +322,43 @@ func TestRunManyMetrics(t *testing.T) {
 	if sumPrefix("kernel_ensemble_lane_slots_total") < sumPrefix("kernel_ensemble_lane_steps_total") {
 		t.Fatalf("lane slots %v < lane steps %v", sumPrefix("kernel_ensemble_lane_slots_total"),
 			sumPrefix("kernel_ensemble_lane_steps_total"))
+	}
+}
+
+// TestRunManyMetricsLive checks that a pooled run's counters reach Metrics
+// as the run ends, not when the batch drains: by the time OnResult reports
+// the k-th completed run, sim_runs_total already counts at least k runs.
+func TestRunManyMetricsLive(t *testing.T) {
+	n := chainNet(t, 12)
+	key := obs.Label("sim_runs_total", "sim", "ode")
+	for _, workers := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		var (
+			mu   sync.Mutex
+			done int
+		)
+		_, err := RunMany(context.Background(), n, BatchConfig{
+			Base:    Config{Rates: Rates{Fast: 50, Slow: 1}, TEnd: 2},
+			Runs:    3,
+			Workers: workers,
+			Metrics: reg,
+			OnResult: func(i int, _ *trace.Trace, err error) {
+				if err != nil {
+					t.Errorf("run %d: %v", i, err)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				done++
+				if got := reg.Snapshot()[key]; got < float64(done) {
+					t.Errorf("workers=%d: %s = %g at completed run %d", workers, key, got, done)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Snapshot()[key]; got != 3 {
+			t.Fatalf("workers=%d: %s = %g after RunMany, want 3", workers, key, got)
+		}
 	}
 }

@@ -40,6 +40,18 @@ if grep -rnE 'stiffWindow|stiffRejects|stiffHFrac' internal/ode/; then
   exit 1
 fi
 
+# One registry, written in place: the batch pool writes its metrics and
+# every run's observer families straight into the caller's registry, and an
+# experiment reports through its Metrics registry alone. Per-worker registry
+# shards, the Merge that folded them in after the drain, and a second
+# observer knob on exper.Config must not come back.
+if grep -rnE 'func \(r \*Registry\) Merge' internal/ --include='*.go' ||
+    grep -rnw 'shards' internal/batch/ --include='*.go' ||
+    awk '/^type Config struct/,/^}/' internal/exper/exper.go | grep -nE '^\s+Obs\b'; then
+  echo 'check.sh: registry shard merge or a second exper.Config observer reintroduced' >&2
+  exit 1
+fi
+
 # The batch engine, the HTTP server and the span tracer are the repo's
 # concurrency hot spots: run them twice under the race detector before
 # everything else so scheduling-order bugs surface fast. The kernel package
@@ -70,6 +82,8 @@ go test -race -count=2 -timeout 15m -run 'SSA|Ensemble|RunMany|Golden|KernelStat
 go test -race -count=2 -timeout 10m ./internal/batch/
 go test -race -count=2 -timeout 10m ./internal/server/
 go test -race -count=2 -timeout 10m ./internal/obs/span/
+# Pool workers and HTTP handlers write one obs.Registry at the same time.
+go test -race -count=2 -timeout 10m ./internal/obs/
 
 # SSE end-to-end smoke: the live-streaming and tracing tests drive a real
 # HTTP server, so scheduling races between publisher, broker and subscriber
